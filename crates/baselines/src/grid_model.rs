@@ -4,10 +4,8 @@
 
 use std::collections::HashMap;
 
-use rayon::prelude::*;
-
 use edge_data::Tweet;
-use edge_geo::{Grid, Kde2d, Partition};
+use edge_geo::{Grid, Kde2d};
 use edge_text::{is_stopword, lower_words};
 
 /// The tokens a grid model sees in a tweet: lowercase words minus stop
@@ -16,11 +14,10 @@ pub fn model_words(text: &str) -> Vec<String> {
     lower_words(text).into_iter().filter(|w| !is_stopword(w)).collect()
 }
 
-/// Per-cell word counts plus priors over a spatial partition (the paper's
-/// uniform grid by default; the quadtree extension plugs in the same way).
+/// Per-cell word counts plus priors over the paper's uniform grid.
 #[derive(Debug, Clone)]
-pub struct GridCounts<P: Partition = Grid> {
-    grid: P,
+pub struct GridCounts {
+    grid: Grid,
     /// word → sparse `(cell index, count)` list, ascending by cell.
     word_cells: HashMap<String, Vec<(u32, f32)>>,
     /// Total word tokens per cell.
@@ -30,14 +27,14 @@ pub struct GridCounts<P: Partition = Grid> {
     vocab_size: usize,
 }
 
-impl<P: Partition> GridCounts<P> {
+impl GridCounts {
     /// Accumulates counts from the training tweets.
-    pub fn fit(train: &[Tweet], grid: P) -> Self {
+    pub fn fit(train: &[Tweet], grid: Grid) -> Self {
         let mut word_cells: HashMap<String, HashMap<u32, f32>> = HashMap::new();
-        let mut cell_totals = vec![0.0; grid.n_cells()];
-        let mut cell_tweets = vec![0.0; grid.n_cells()];
+        let mut cell_totals = vec![0.0; grid.len()];
+        let mut cell_tweets = vec![0.0; grid.len()];
         for t in train {
-            let cell = grid.cell_index_of(&t.location);
+            let cell = grid.index_of(grid.cell_of(&t.location));
             cell_tweets[cell] += 1.0;
             for w in model_words(&t.text) {
                 *word_cells.entry(w).or_default().entry(cell as u32).or_insert(0.0) += 1.0;
@@ -56,8 +53,8 @@ impl<P: Partition> GridCounts<P> {
         Self { grid, word_cells, cell_totals, cell_tweets, vocab_size }
     }
 
-    /// The partition.
-    pub fn grid(&self) -> &P {
+    /// The grid.
+    pub fn grid(&self) -> &Grid {
         &self.grid
     }
 
@@ -85,9 +82,7 @@ impl<P: Partition> GridCounts<P> {
     pub fn total_tweets(&self) -> f64 {
         self.cell_tweets.iter().sum()
     }
-}
 
-impl GridCounts<Grid> {
     /// The kde2d variant: every word's cell histogram (and the totals) are
     /// smoothed with an isotropic 2-D Gaussian kernel of `bandwidth_cells`.
     /// Smoothed mass below `1e-4` is dropped to keep the tables sparse.
@@ -105,12 +100,13 @@ impl GridCounts<Grid> {
                 .map(|(c, v)| (c as u32, v as f32))
                 .collect()
         };
-        let entries: Vec<(String, Vec<(u32, f32)>)> = self
-            .word_cells
-            .par_iter()
-            .map(|(w, cells)| (w.clone(), smooth_sparse(cells)))
-            .collect();
-        let word_cells: HashMap<String, Vec<(u32, f32)>> = entries.into_iter().collect();
+        let words: Vec<(&String, &Vec<(u32, f32)>)> = self.word_cells.iter().collect();
+        let mut smoothed: Vec<Vec<(u32, f32)>> = vec![Vec::new(); words.len()];
+        edge_par::parallel_for_chunks_mut(&mut smoothed, 1, |i, slot| {
+            slot[0] = smooth_sparse(words[i].1);
+        });
+        let word_cells: HashMap<String, Vec<(u32, f32)>> =
+            words.iter().map(|&(w, _)| w.clone()).zip(smoothed).collect();
         // Recompute totals from the smoothed words so the conditional
         // distributions stay consistent.
         let mut cell_totals = vec![0.0; self.grid.len()];

@@ -7,20 +7,20 @@
 //! `−Σ_w p(w) log q_c(w)` with Laplace-smoothed cell distributions `q_c`.
 
 use edge_data::Tweet;
-use edge_geo::{Grid, Partition, Point, Quadtree};
+use edge_geo::{Grid, Point};
 
 use crate::grid_model::{model_words, GridCounts};
 use edge_core::Geolocator;
 #[cfg(test)]
 use edge_core::PointEval;
 
-/// The trained KL grid model, generic over the spatial partition.
-pub struct KullbackLeibler<P: Partition = Grid> {
-    counts: GridCounts<P>,
+/// The trained KL grid model.
+pub struct KullbackLeibler {
+    counts: GridCounts,
     name: String,
 }
 
-impl KullbackLeibler<Grid> {
+impl KullbackLeibler {
     /// Fits the count-based variant.
     pub fn fit(train: &[Tweet], grid: Grid) -> Self {
         Self { counts: GridCounts::fit(train, grid), name: "Kullback-Leibler".to_string() }
@@ -36,23 +36,14 @@ impl KullbackLeibler<Grid> {
     pub fn from_counts(counts: GridCounts, name: &str) -> Self {
         Self { counts, name: name.to_string() }
     }
-}
 
-impl KullbackLeibler<Quadtree> {
-    /// The quadtree extension.
-    pub fn fit_quadtree(train: &[Tweet], tree: Quadtree) -> Self {
-        Self { counts: GridCounts::fit(train, tree), name: "Kullback-Leibler_quadtree".to_string() }
-    }
-}
-
-impl<P: Partition> KullbackLeibler<P> {
     /// Per-cell cross-entropy (lower = better match).
     pub fn cell_cross_entropy(&self, text: &str) -> Vec<f64> {
         let words = model_words(text);
         let v = self.counts.vocab_size() as f64;
         let n = words.len().max(1) as f64;
         // Uniform document distribution over tokens: p(w) = multiplicity/n.
-        let mut ce: Vec<f64> = (0..self.counts.grid().n_cells())
+        let mut ce: Vec<f64> = (0..self.counts.grid().len())
             .map(|c| (self.counts.cell_total(c) + v).ln()) // Σ p(w)·log denom = log denom
             .collect();
         for w in &words {
@@ -63,13 +54,13 @@ impl<P: Partition> KullbackLeibler<P> {
         ce
     }
 
-    /// The partition.
-    pub fn grid(&self) -> &P {
+    /// The grid.
+    pub fn grid(&self) -> &Grid {
         self.counts.grid()
     }
 }
 
-impl<P: Partition> Geolocator for KullbackLeibler<P> {
+impl Geolocator for KullbackLeibler {
     fn name(&self) -> &str {
         &self.name
     }
@@ -77,7 +68,8 @@ impl<P: Partition> Geolocator for KullbackLeibler<P> {
     fn predict_point(&self, text: &str) -> Option<Point> {
         let ce = self.cell_cross_entropy(text);
         let best = ce.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).map(|(c, _)| c)?;
-        Some(self.counts.grid().cell_center(best))
+        let grid = self.counts.grid();
+        Some(grid.center_of(grid.cell_at(best)))
     }
 }
 

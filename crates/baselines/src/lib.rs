@@ -9,7 +9,6 @@
 //! `edge_core::predict`, where EDGE and BOW pick it up through the blanket
 //! `Predictor` implementation) the benchmark harness evaluates through.
 
-pub mod embed_net;
 pub mod grid_model;
 pub mod hyperlocal;
 pub mod kullback_leibler;
@@ -18,7 +17,6 @@ pub mod naive_bayes;
 pub mod unicode_cnn;
 
 pub use edge_core::{Geolocator, PointEval};
-pub use embed_net::{EmbedNet, EmbedNetConfig};
 pub use grid_model::{model_words, GridCounts};
 pub use hyperlocal::{HyperLocal, HyperLocalParams};
 pub use kullback_leibler::KullbackLeibler;

@@ -11,8 +11,6 @@
 
 use std::collections::HashMap;
 
-use rayon::prelude::*;
-
 use edge_data::Tweet;
 use edge_geo::{Grid, Point, TermKde};
 
@@ -57,23 +55,21 @@ impl LocKde {
                 term_points.entry(w).or_default().push(t.location);
             }
         }
-        let surfaces: HashMap<String, (Vec<f32>, f64)> = term_points
-            .into_iter()
-            .filter(|(_, pts)| pts.len() >= params.min_count)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|(term, mut pts)| {
-                if pts.len() > params.max_points {
-                    let stride = pts.len() / params.max_points;
-                    pts = pts.into_iter().step_by(stride.max(1)).collect();
-                }
-                let kde = TermKde::fit(pts, params.min_bw_km, params.max_bw_km, region_scale_km);
-                let weight = 1.0 / kde.bandwidth_km();
-                let surface: Vec<f32> =
-                    kde.density_grid(&grid).into_iter().map(|d| d as f32).collect();
-                (term, (surface, weight))
-            })
-            .collect();
+        let terms: Vec<(String, Vec<Point>)> =
+            term_points.into_iter().filter(|(_, pts)| pts.len() >= params.min_count).collect();
+        let mut fitted: Vec<(Vec<f32>, f64)> = vec![(Vec::new(), 0.0); terms.len()];
+        edge_par::parallel_for_chunks_mut(&mut fitted, 1, |i, slot| {
+            // Dense terms are stride-subsampled down to about `max_points`.
+            let pts = &terms[i].1;
+            let stride = (pts.len() / params.max_points).max(1);
+            let pts: Vec<Point> = pts.iter().step_by(stride).copied().collect();
+            let kde = TermKde::fit(pts, params.min_bw_km, params.max_bw_km, region_scale_km);
+            let weight = 1.0 / kde.bandwidth_km();
+            let surface: Vec<f32> = kde.density_grid(&grid).into_iter().map(|d| d as f32).collect();
+            slot[0] = (surface, weight);
+        });
+        let surfaces: HashMap<String, (Vec<f32>, f64)> =
+            terms.into_iter().map(|(term, _)| term).zip(fitted).collect();
         Self { grid, surfaces }
     }
 

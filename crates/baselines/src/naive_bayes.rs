@@ -11,22 +11,20 @@
 //! a [`GridCounts::smoothed`] table.
 
 use edge_data::Tweet;
-use edge_geo::{Grid, Partition, Point, Quadtree};
+use edge_geo::{Grid, Point};
 
 use crate::grid_model::{model_words, GridCounts};
 use edge_core::Geolocator;
 #[cfg(test)]
 use edge_core::PointEval;
 
-/// The trained NaiveBayes grid model, generic over the spatial partition
-/// (uniform [`Grid`] by default; [`Quadtree`] for the Ajao-et-al.
-/// non-uniform extension).
-pub struct NaiveBayes<P: Partition = Grid> {
-    counts: GridCounts<P>,
+/// The trained NaiveBayes grid model.
+pub struct NaiveBayes {
+    counts: GridCounts,
     name: String,
 }
 
-impl NaiveBayes<Grid> {
+impl NaiveBayes {
     /// Fits the count-based variant on the paper's 100×100 grid (or any
     /// provided grid).
     pub fn fit(train: &[Tweet], grid: Grid) -> Self {
@@ -44,21 +42,11 @@ impl NaiveBayes<Grid> {
     pub fn from_counts(counts: GridCounts, name: &str) -> Self {
         Self { counts, name: name.to_string() }
     }
-}
 
-impl NaiveBayes<Quadtree> {
-    /// The quadtree extension: a data-adaptive partition built from the
-    /// training locations replaces the uniform grid.
-    pub fn fit_quadtree(train: &[Tweet], tree: Quadtree) -> Self {
-        Self { counts: GridCounts::fit(train, tree), name: "NaiveBayes_quadtree".to_string() }
-    }
-}
-
-impl<P: Partition> NaiveBayes<P> {
     /// Per-cell log-posterior scores for a text.
     pub fn cell_scores(&self, text: &str) -> Vec<f64> {
         let words = model_words(text);
-        let n_cells = self.counts.grid().n_cells();
+        let n_cells = self.counts.grid().len();
         let v = self.counts.vocab_size() as f64;
         let total_tweets = self.counts.total_tweets().max(1.0);
         let mut scores: Vec<f64> = (0..n_cells)
@@ -79,13 +67,13 @@ impl<P: Partition> NaiveBayes<P> {
         scores
     }
 
-    /// The partition the model classifies over.
-    pub fn grid(&self) -> &P {
+    /// The grid the model classifies over.
+    pub fn grid(&self) -> &Grid {
         self.counts.grid()
     }
 }
 
-impl<P: Partition> Geolocator for NaiveBayes<P> {
+impl Geolocator for NaiveBayes {
     fn name(&self) -> &str {
         &self.name
     }
@@ -93,7 +81,8 @@ impl<P: Partition> Geolocator for NaiveBayes<P> {
     fn predict_point(&self, text: &str) -> Option<Point> {
         let scores = self.cell_scores(text);
         let best = scores.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(c, _)| c)?;
-        Some(self.counts.grid().cell_center(best))
+        let grid = self.counts.grid();
+        Some(grid.center_of(grid.cell_at(best)))
     }
 }
 
@@ -169,34 +158,5 @@ mod tests {
         // Both produce sane results; the smoothed variant should not be
         // drastically worse (in the paper it is better at @5km).
         assert!(r_smooth.mean_km < r_raw.mean_km * 1.5);
-    }
-}
-
-#[cfg(test)]
-mod quadtree_tests {
-    use super::*;
-    use edge_data::{nyma, PresetSize};
-    use edge_geo::DistanceReport;
-
-    #[test]
-    fn quadtree_variant_is_competitive_with_uniform_grid() {
-        let d = nyma(PresetSize::Smoke, 23);
-        let (train, test) = d.paper_split();
-        let locations: Vec<edge_geo::Point> = train.iter().map(|t| t.location).collect();
-        let tree = Quadtree::build(d.bbox, &locations, 30, 8);
-        assert!(tree.len() > 20, "cells: {}", tree.len());
-        let quad = NaiveBayes::fit_quadtree(train, tree);
-        assert_eq!(quad.name(), "NaiveBayes_quadtree");
-        let grid = NaiveBayes::fit(train, Grid::new(d.bbox, 50, 50));
-        let PointEval { pairs: q_pairs, coverage: q_cov, .. } =
-            quad.evaluate_points(&test[..500.min(test.len())]);
-        let PointEval { pairs: g_pairs, .. } = grid.evaluate_points(&test[..500.min(test.len())]);
-        assert_eq!(q_cov, 1.0);
-        let q = DistanceReport::from_pairs(&q_pairs).unwrap();
-        let g = DistanceReport::from_pairs(&g_pairs).unwrap();
-        // Data-adaptive cells should be in the same league as the uniform
-        // grid (the Ajao-et-al. claim is improved efficiency at comparable
-        // accuracy).
-        assert!(q.median_km < g.median_km * 1.6, "quad {} vs grid {}", q.median_km, g.median_km);
     }
 }

@@ -1,11 +1,10 @@
-//! Dispatch overhead of the `edge-par` persistent pool vs the legacy
-//! spawn-per-call path, at the workload shape the training loop actually
-//! uses (a `parallel_for` over a handful of row blocks).
+//! Dispatch overhead of the `edge-par` persistent pool at the workload shape
+//! the training loop actually uses (a `parallel_for` over a handful of row
+//! blocks).
 //!
 //! The acceptance bar for the pooled path is < 10µs per dispatch: the pool's
-//! cost is a queue push + condvar wake, while spawning pays thread creation
-//! and teardown on every call (hundreds of µs). On a single-core host the
-//! submitter drains every chunk itself, which is the overhead floor.
+//! cost is a queue push + condvar wake. On a single-core host the submitter
+//! drains every chunk itself, which is the overhead floor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -39,33 +38,11 @@ fn bench_dispatch(c: &mut Criterion) {
 
     for count in [8usize, 64, 512] {
         group.bench_with_input(BenchmarkId::new("pooled", count), &count, |b, &n| {
-            edge_par::set_dispatch_mode(edge_par::DispatchMode::Pool);
             b.iter(|| black_box(edge_par::with_max_threads(BENCH_WIDTH, || dispatch_once(n))));
-        });
-        group.bench_with_input(BenchmarkId::new("spawn", count), &count, |b, &n| {
-            edge_par::set_dispatch_mode(edge_par::DispatchMode::Spawn);
-            b.iter(|| black_box(edge_par::with_max_threads(BENCH_WIDTH, || dispatch_once(n))));
-            edge_par::set_dispatch_mode(edge_par::DispatchMode::Pool);
         });
     }
-    edge_par::set_dispatch_mode(edge_par::DispatchMode::Pool);
     group.finish();
 }
 
-/// The rayon-shim layer on top of the pool (bucket split + per-bucket
-/// mutexes), as the model's `evaluate` / `predict_batch` use it.
-fn bench_shim_dispatch(c: &mut Criterion) {
-    use rayon::prelude::*;
-    let mut group = c.benchmark_group("shim_dispatch");
-    let items: Vec<u64> = (0..512).collect();
-    group.bench_function("par_iter_map_collect/512", |b| {
-        b.iter(|| {
-            let out: Vec<u64> = items.par_iter().map(|&x| black_box(x + 1)).collect();
-            black_box(out)
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_dispatch, bench_shim_dispatch);
+criterion_group!(benches, bench_dispatch);
 criterion_main!(benches);

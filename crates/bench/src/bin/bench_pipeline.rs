@@ -1,9 +1,8 @@
 //! End-to-end pipeline resource bench: runs the Table III method set on one
 //! corpus, recording per-method wall time and process peak RSS, plus the
 //! metrics-layer counters (matmul/spmm FLOPs, tape ops, NER misses) for the
-//! EDGE runs, a before/after dispatch speedup table for EDGE training
-//! (serial vs spawn-per-call vs the persistent `edge-par` pool vs forced
-//! scalar kernels), and the `simd_vs_scalar` microkernel comparison.
+//! EDGE runs, a speedup table for EDGE training (serial vs fresh-alloc vs
+//! the persistent `edge-par` pool vs forced scalar kernels), and the `simd_vs_scalar` microkernel comparison.
 //!
 //! Usage: `cargo run --release -p edge-bench --bin bench_pipeline [--size default]`
 //!
@@ -55,7 +54,7 @@ fn main() {
         );
     }
 
-    edge_obs::progress!("== EDGE dispatch speedup (serial / spawn / pool / scalar) ==");
+    edge_obs::progress!("== EDGE speedup (serial / fresh-alloc / pool / scalar) ==");
     let edge_speedup = run_edge_speedup(&dataset, &config.edge);
 
     edge_obs::progress!("== SIMD vs scalar microkernels ==");

@@ -38,9 +38,7 @@
 use std::net::TcpStream;
 use std::time::Instant;
 
-use edge_core::{
-    ArtifactLoad, EdgeModel, ModelArtifact, PredictOptions, PredictRequest, Predictor, QuantMode,
-};
+use edge_core::{ArtifactLoad, EdgeModel, ModelArtifact, PredictOptions, Predictor, QuantMode};
 use edge_obs::ring::{STAGE_BATCH, STAGE_INFERENCE, STAGE_PARSE, STAGE_QUEUE, STAGE_SERIALIZE};
 use edge_serve::{Client, ServeConfig, Server};
 use serde::Serialize;
@@ -140,22 +138,6 @@ struct HighConcurrency {
     per_shard: Vec<ShardStat>,
 }
 
-/// Replica cold start: artifact open → model ready → first successful
-/// prediction, legacy JSON envelope vs zero-copy mapped layout. Each
-/// sample loads a fresh model (what one more serve replica pays).
-#[derive(Serialize)]
-struct ColdStart {
-    replicas: usize,
-    /// Median per-replica legacy cold start (deserialize + GCN recompute
-    /// + first predict), microseconds.
-    legacy_us: f64,
-    /// Median per-replica mapped cold start (mmap open + meta parse +
-    /// first predict), microseconds.
-    mmap_us: f64,
-    /// `legacy_us / mmap_us` — the headline the CI gate holds ≥ 10.
-    speedup: f64,
-}
-
 /// One quantization mode's accuracy/size against the f32 baseline on the
 /// full test split.
 #[derive(Serialize)]
@@ -190,7 +172,6 @@ struct ServeBenchOutput {
     router_overhead: RouterOverhead,
     multi_shard: LegRecord,
     high_concurrency: HighConcurrency,
-    cold_start: ColdStart,
     quantization: Quantization,
 }
 
@@ -494,37 +475,6 @@ fn render_table(legs: &[LegRecord], speedup: f64) -> String {
     out
 }
 
-/// Median of raw microsecond samples.
-fn median_us(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
-
-/// Measures per-replica cold start for both formats: each sample loads a
-/// fresh model from disk and answers one prediction (the serve pipeline's
-/// replica spin-up path, minus the socket).
-fn run_cold_start(legacy_path: &str, mmap_path: &str, text: &str, replicas: usize) -> ColdStart {
-    let req = PredictRequest::text(text);
-    let opts = PredictOptions::default();
-    let mut legacy = Vec::with_capacity(replicas);
-    let mut mapped = Vec::with_capacity(replicas);
-    for _ in 0..replicas {
-        let t0 = Instant::now();
-        #[allow(deprecated)] // this leg exists to measure the legacy loader
-        let m = EdgeModel::load(legacy_path).expect("legacy load");
-        m.locate(&req, &opts).expect("first predict");
-        legacy.push(t0.elapsed().as_secs_f64() * 1e6);
-
-        let t0 = Instant::now();
-        let m = ModelArtifact::open(mmap_path).expect("open").load_model().expect("load");
-        m.locate(&req, &opts).expect("first predict");
-        mapped.push(t0.elapsed().as_secs_f64() * 1e6);
-    }
-    let legacy_us = median_us(&mut legacy);
-    let mmap_us = median_us(&mut mapped);
-    ColdStart { replicas, legacy_us, mmap_us, speedup: legacy_us / mmap_us }
-}
-
 /// Saves the model under each quantization mode, reloads it, and scores
 /// the full test split — the accuracy-drift gate for quantized serving.
 fn run_quantization(model: &EdgeModel, test: &[edge_data::Tweet], mmap_path: &str) -> Quantization {
@@ -584,12 +534,7 @@ fn main() {
     let model_path =
         std::env::temp_dir().join(format!("edge_bench_serve_{}.edgemap", std::process::id()));
     model.save_artifact(&model_path, QuantMode::None).expect("save");
-    let legacy_path =
-        std::env::temp_dir().join(format!("edge_bench_serve_{}.model.json", std::process::id()));
-    #[allow(deprecated)] // the cold-start leg measures the legacy loader
-    model.save(&legacy_path).expect("legacy save");
     let model_path = model_path.to_string_lossy().into_owned();
-    let legacy_path = legacy_path.to_string_lossy().into_owned();
 
     let covered: Vec<String> = test
         .iter()
@@ -759,15 +704,7 @@ fn main() {
         high_concurrency.p99_us
     );
 
-    // Replica cold start (legacy deserialize vs mmap open) and the
-    // quantization accuracy-drift gate.
-    let cold_start = run_cold_start(&legacy_path, &model_path, &pool[0], 5);
-    edge_obs::progress!(
-        "   cold-start      legacy {:>8.0} us  mmap {:>8.0} us  ({:.0}x)",
-        cold_start.legacy_us,
-        cold_start.mmap_us,
-        cold_start.speedup
-    );
+    // The quantization accuracy-drift gate.
     let quantization = run_quantization(&model, test, &model_path);
     for q in &quantization.modes {
         edge_obs::progress!(
@@ -793,7 +730,7 @@ fn main() {
         })
         .collect();
     let text = format!(
-        "Serve bench ({size:?} scale): closed-loop POST /predict over real sockets\n{}{}\nobs overhead (warm batched, metrics on vs off): {:.2}%\nrobustness overhead (warm batched, deadlines+budgets+brownout on vs off): {:.2}%\nrouter overhead (warm batched, two-shard routed vs single-shard): {:.2}%\nmulti-shard: {:.0} texts/sec across {} shards\nhigh-concurrency: {} idle keep-alive conns held, p50 {:.0} us, p99 {:.0} us\nreplica cold start: legacy {:.0} us vs mmap {:.0} us ({:.0}x, median of {})\n{}",
+        "Serve bench ({size:?} scale): closed-loop POST /predict over real sockets\n{}{}\nobs overhead (warm batched, metrics on vs off): {:.2}%\nrobustness overhead (warm batched, deadlines+budgets+brownout on vs off): {:.2}%\nrouter overhead (warm batched, two-shard routed vs single-shard): {:.2}%\nmulti-shard: {:.0} texts/sec across {} shards\nhigh-concurrency: {} idle keep-alive conns held, p50 {:.0} us, p99 {:.0} us\n{}",
         render_table(&legs, speedup),
         render_stage_table(&legs),
         obs_overhead.overhead_frac * 100.0,
@@ -804,10 +741,6 @@ fn main() {
         high_concurrency.connections_held,
         high_concurrency.p50_us,
         high_concurrency.p99_us,
-        cold_start.legacy_us,
-        cold_start.mmap_us,
-        cold_start.speedup,
-        cold_start.replicas,
         quant_lines,
     );
     print!("{text}");
@@ -823,11 +756,9 @@ fn main() {
         router_overhead,
         multi_shard,
         high_concurrency,
-        cold_start,
         quantization,
     };
     edge_bench::write_results("BENCH_serve", &output, &text).expect("write results");
     std::fs::remove_file(&model_path).ok();
-    std::fs::remove_file(&legacy_path).ok();
     edge_obs::progress!("wrote results/BENCH_serve.{{json,txt}}");
 }

@@ -335,9 +335,9 @@ pub struct SpeedupLeg {
 }
 
 /// Before/after table for the training hot path: the same EDGE training run
-/// under serial (1 thread), legacy spawn-per-call dispatch, the fresh-alloc
-/// reference (no tape arena), the persistent pool with arena reuse, and the
-/// pool with the SIMD kernels forced off.
+/// under serial (1 thread), the fresh-alloc reference (no tape arena), the
+/// persistent pool with arena reuse, and the pool with the SIMD kernels
+/// forced off.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EdgeSpeedup {
     pub legs: Vec<SpeedupLeg>,
@@ -403,11 +403,11 @@ fn merge_best(best: SpeedupLeg, next: SpeedupLeg) -> SpeedupLeg {
 }
 
 /// Measures the hot-path speedups on EDGE training: serial (pool clamped to
-/// 1 thread) vs spawn-per-call dispatch vs fresh allocation (arena disabled)
-/// vs the persistent pool with arena reuse vs the pool with scalar kernels
-/// forced, all at identical seeds.
+/// 1 thread) vs fresh allocation (arena disabled) vs the persistent pool
+/// with arena reuse vs the pool with scalar kernels forced, all at
+/// identical seeds.
 ///
-/// The first four legs run the bit-for-bit deterministic kernels, so their
+/// The first three legs run the bit-for-bit deterministic kernels, so their
 /// `mean_km` must match exactly; the scalar-kernel leg swaps the geo vector
 /// polynomials for libm and may drift by < 1e-6 km (and is exact too when
 /// SIMD is off, since then it replicates the pooled leg).
@@ -425,16 +425,6 @@ pub fn run_edge_speedup(dataset: &Dataset, config: &EdgeConfig) -> EdgeSpeedup {
             "serial (1 thread)",
             Box::new(|l: &str| {
                 edge_par::with_max_threads(1, || run_edge_leg(dataset, config, l, &opts))
-            }),
-        ),
-        (
-            "spawn-per-call",
-            Box::new(|l: &str| {
-                let prev = edge_par::dispatch_mode();
-                edge_par::set_dispatch_mode(edge_par::DispatchMode::Spawn);
-                let leg = run_edge_leg(dataset, config, l, &opts);
-                edge_par::set_dispatch_mode(prev);
-                leg
             }),
         ),
         (
@@ -462,11 +452,11 @@ pub fn run_edge_speedup(dataset: &Dataset, config: &EdgeConfig) -> EdgeSpeedup {
         }
     }
     let legs: Vec<SpeedupLeg> = best.into_iter().map(|l| l.expect("measured")).collect();
-    let pooled_secs = legs[3].train_secs.max(1e-9);
+    let pooled_secs = legs[2].train_secs.max(1e-9);
     EdgeSpeedup {
         train_speedup: legs[0].train_secs / pooled_secs,
-        arena_speedup: legs[2].train_secs / pooled_secs,
-        simd_speedup: legs[4].train_secs / pooled_secs,
+        arena_speedup: legs[1].train_secs / pooled_secs,
+        simd_speedup: legs[3].train_secs / pooled_secs,
         simd_active: edge_tensor::simd_active(),
         legs,
     }

@@ -48,8 +48,6 @@ COMMANDS:
                  --telemetry-out <dir>               (write per-epoch telemetry JSONL)
                  --quantize none|f16|int8            (smoothed-table encoding of the
                                                       saved artifact; default none)
-                 --format mmap|legacy                (artifact layout; default mmap,
-                                                      the zero-copy mapped format)
     predict    predict one tweet's location mixture
                  --model <path>                      (required)
                  --text <tweet text>                 (required)
@@ -347,23 +345,8 @@ pub fn train(args: &[String]) -> Result<(), String> {
         }
     );
     let quant: QuantMode = flags.get("quantize").map_or(Ok(QuantMode::None), |q| q.parse())?;
-    match flags.get("format").map_or("mmap", String::as_str) {
-        "mmap" => {
-            model.save_artifact(out, quant).map_err(|e| e.to_string())?;
-            edge_obs::progress!("saved model to {out} (mmap, quant={quant})");
-        }
-        "legacy" => {
-            if quant != QuantMode::None {
-                return Err("--format legacy cannot quantize (use --format mmap)".to_string());
-            }
-            // The legacy JSON envelope stays producible for compatibility
-            // tests and older readers.
-            #[allow(deprecated)]
-            model.save(out).map_err(|e| e.to_string())?;
-            edge_obs::progress!("saved model to {out} (legacy envelope)");
-        }
-        other => return Err(format!("unknown format '{other}' (mmap|legacy)")),
-    }
+    model.save_artifact(out, quant).map_err(|e| e.to_string())?;
+    edge_obs::progress!("saved model to {out} (mmap, quant={quant})");
     if let Some(dir) = &telemetry_dir {
         if let Some(path) =
             edge_obs::telemetry::write_to_dir(dir).map_err(|e| format!("writing telemetry: {e}"))?
@@ -531,9 +514,8 @@ pub fn profile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `edge-cli fsck <path>`: verifies an artifact's envelope (magic, length,
-/// CRC64) and payload (schema + internal consistency) without instantiating
-/// a model, and prints what it found.
+/// `edge-cli serve`: loads one model per `--model` (one shard per metro)
+/// and runs the event-loop HTTP server until SIGTERM drains it.
 pub fn serve(args: &[String]) -> Result<(), String> {
     // `--model` is repeatable (one shard per metro); pre-extract every
     // occurrence, since `parse_flags` keeps only the last repeat.
@@ -828,6 +810,11 @@ pub fn top(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// `edge-cli fsck <path>`: verifies an artifact — a mapped model's section
+/// table and CRCs, or an envelope's magic, length and CRC64 plus payload
+/// schema and consistency — without serving it, and prints what it found.
+/// With `--upgrade` it rewrites a model (a legacy envelope included) in the
+/// mapped layout.
 pub fn fsck(args: &[String]) -> Result<(), String> {
     // One positional <path> plus the optional --upgrade/--quantize/--out.
     let mut path: Option<String> = None;
@@ -1004,14 +991,16 @@ mod tests {
             .expect("predict from int8 artifact");
         fsck(&strs(&[&int8])).expect("fsck understands quantized artifacts");
 
-        // The legacy envelope is still writable, refuses to quantize, and
-        // upgrades in place via fsck --upgrade.
-        let mut args: Vec<&str> = base.to_vec();
-        args.extend(["--out", &legacy, "--format", "legacy"]);
-        train(&strs(&args)).expect("train legacy");
-        let mut bad: Vec<&str> = base.to_vec();
-        bad.extend(["--out", &legacy, "--format", "legacy", "--quantize", "f16"]);
-        assert!(train(&strs(&bad)).unwrap_err().contains("legacy"));
+        // A legacy envelope is refused by the serving paths, naming the
+        // fix, passes fsck, and upgrades in place via fsck --upgrade.
+        std::fs::copy(
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../core/tests/fixtures/legacy_v2_smoke.edge"),
+            &legacy,
+        )
+        .unwrap();
+        let refused = predict(&strs(&["--model", &legacy, "--text", "x"])).unwrap_err();
+        assert!(refused.contains("fsck --upgrade"), "{refused}");
+        fsck(&strs(&[&legacy])).expect("fsck reads the legacy envelope");
         fsck(&strs(&[&legacy, "--upgrade"])).expect("upgrade in place");
         predict(&strs(&["--model", &legacy, "--text", "lunch near the Majestic Theatre"]))
             .expect("predict from upgraded artifact");

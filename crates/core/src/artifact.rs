@@ -1,11 +1,9 @@
 //! Zero-copy, memory-mappable model artifacts — the redesigned persistence
 //! API behind [`ModelArtifact`].
 //!
-//! The legacy envelope in [`crate::persist`] deserializes the whole model
-//! into owned structs (JSON parse + GCN recompute), which makes a serve
-//! replica's cold start scale with model size. This module replaces that
-//! path with a page-aligned, section-table binary layout the loader `mmap`s
-//! and borrows tensor slices from:
+//! The one on-disk model layout: a page-aligned, section-table binary file
+//! the loader `mmap`s and borrows tensor slices from, so a serve replica's
+//! cold start does not scale with model size:
 //!
 //! ```text
 //! ┌─────────────────────────────────────────────────────────────────┐
@@ -27,9 +25,8 @@
 //!
 //! Every multi-byte field is little-endian; every section offset is a page
 //! multiple, so `&[u8] → &[f32]` reborrows are always aligned. Each section
-//! carries its own CRC-64/XZ, verified at open — the same corruption
-//! guarantees as the legacy envelope, at memory speed instead of parse
-//! speed.
+//! carries its own CRC-64/XZ, verified at open, so a truncated or
+//! bit-flipped file is a typed error, never a misread.
 //!
 //! Three properties carry the design:
 //!
@@ -42,15 +39,16 @@
 //! * **Bit-identity.** An f32 artifact stores exactly the bytes
 //!   `refresh_smoothed` produced at save time, and the inference gather
 //!   copies rows from the mapping, so predictions are bit-for-bit identical
-//!   to the legacy loader's.
+//!   to the in-memory model's.
 //! * **Quantization.** `--quantize f16|int8` stores the smoothed table as
 //!   IEEE binary16 or per-row-absmax int8 ([`edge_tensor::quant`]), with
 //!   dequant-on-the-fly in the gather path (AVX2/F16C + scalar, both
 //!   bit-identical, `EDGE_NO_SIMD`-respecting).
 //!
-//! The legacy envelope stays readable forever: [`ModelArtifact::open`]
-//! sniffs the magic and falls back to the envelope reader, and `edge-cli
-//! fsck --upgrade` rewrites old artifacts in the new format atomically.
+//! Models saved in the JSON envelope of older releases are refused by
+//! [`ModelArtifact::open`] with [`PersistError::LegacyEnvelope`]; `edge-cli
+//! fsck --upgrade` ([`upgrade_artifact`]) rewrites them in this layout
+//! atomically.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -113,7 +111,7 @@ fn tag_name(tag: &[u8; 8]) -> String {
 /// How the smoothed-embedding table is encoded in an artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QuantMode {
-    /// Full-precision f32 — bit-identical to the legacy loader.
+    /// Full-precision f32 — bit-identical to the in-memory model.
     #[default]
     None,
     /// IEEE binary16 (half the bytes; decode is exact, encode rounds).
@@ -347,8 +345,8 @@ impl MappedArtifact {
         Ok(artifact)
     }
 
-    /// The meta-level consistency checks the legacy `SavedModel::validate`
-    /// performed, adapted to the sectioned layout.
+    /// The consistency checks legacy envelopes get from
+    /// `SavedModel::validate`, adapted to the sectioned layout.
     fn validate(&self) -> Result<(), PersistError> {
         let meta = &self.meta;
         if meta.format_version != MAP_FORMAT_VERSION {
@@ -649,32 +647,24 @@ impl LazyAdjacency {
     }
 }
 
-/// A model artifact opened for loading — the unified entry point over both
-/// the mmap layout and the legacy JSON envelope (sniffed by magic).
+/// A mapped model artifact opened and verified for loading.
 pub struct ModelArtifact {
     path: PathBuf,
-    repr: Repr,
-}
-
-enum Repr {
-    Mapped(Arc<MappedArtifact>),
-    Legacy { payload: String },
+    artifact: Arc<MappedArtifact>,
 }
 
 impl ModelArtifact {
-    /// Opens and verifies the artifact at `path`. Mapped artifacts verify
-    /// the section table and every section CRC; legacy envelopes verify
-    /// the envelope checksum exactly as before.
+    /// Opens the artifact at `path`, verifying the section table and every
+    /// section CRC. A legacy JSON envelope is refused with
+    /// [`PersistError::LegacyEnvelope`] (`edge-cli fsck --upgrade` converts
+    /// it).
     pub fn open(path: impl AsRef<Path>) -> Result<ModelArtifact, PersistError> {
         let path = path.as_ref();
-        let repr = if is_mapped_file(path)? {
-            Repr::Mapped(Arc::new(MappedArtifact::open(path)?))
-        } else {
-            Repr::Legacy {
-                payload: crate::persist::read_artifact(path, crate::persist::KIND_MODEL)?,
-            }
-        };
-        Ok(ModelArtifact { path: path.to_path_buf(), repr })
+        if crate::persist::is_envelope_file(path)? {
+            return Err(PersistError::LegacyEnvelope);
+        }
+        let artifact = Arc::new(MappedArtifact::open(path)?);
+        Ok(ModelArtifact { path: path.to_path_buf(), artifact })
     }
 
     /// The path this artifact was opened from.
@@ -682,32 +672,17 @@ impl ModelArtifact {
         &self.path
     }
 
-    /// Whether this is the zero-copy mmap layout (vs the legacy envelope).
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.repr, Repr::Mapped(_))
-    }
-
     /// How the inference weights are encoded.
     pub fn quant(&self) -> QuantMode {
-        match &self.repr {
-            Repr::Mapped(a) => a.quant(),
-            Repr::Legacy { .. } => QuantMode::None,
-        }
+        self.artifact.quant()
     }
 
-    /// Loads the model. On a mapped artifact this parses only the small
-    /// meta section and copies the head parameters — the embedding table
-    /// stays borrowed from the mapping (dequantized per gather), and
-    /// `features`/`adj` materialize lazily on first (re-)save or retrain.
+    /// Loads the model. This parses only the small meta section and copies
+    /// the head parameters — the embedding table stays borrowed from the
+    /// mapping (dequantized per gather), and `features`/`adj` materialize
+    /// lazily on first (re-)save or retrain.
     pub fn load_model(&self) -> Result<EdgeModel, PersistError> {
-        match &self.repr {
-            Repr::Mapped(artifact) => load_mapped_model(artifact),
-            Repr::Legacy { payload } => {
-                let doc: crate::persist::SavedModel = serde_json::from_str(payload)?;
-                doc.validate()?;
-                Ok(EdgeModel::from_saved(doc))
-            }
-        }
+        load_mapped_model(&self.artifact)
     }
 }
 
@@ -734,19 +709,6 @@ impl ArtifactLoad for EdgeModel {
 impl ArtifactLoad for Box<dyn Predictor + Send + Sync> {
     fn load_from_artifact(artifact: &ModelArtifact) -> Result<Self, PersistError> {
         Ok(Box::new(artifact.load_model()?))
-    }
-}
-
-fn is_mapped_file(path: &Path) -> Result<bool, PersistError> {
-    use std::io::Read;
-    let mut head = [0u8; 8];
-    let mut file = std::fs::File::open(path)?;
-    match file.read_exact(&mut head) {
-        Ok(()) => Ok(&head == MAP_MAGIC),
-        // Shorter than 8 bytes: not mapped; let the legacy reader produce
-        // its (typed) corruption error.
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
-        Err(e) => Err(e.into()),
     }
 }
 
@@ -889,7 +851,7 @@ impl EdgeModel {
     /// an already-quantized model in its own mode copies the stored codes
     /// verbatim (lossless re-save).
     ///
-    /// Failpoint: `persist.save` (shared with the legacy writer).
+    /// Failpoint: `persist.save` (shared with the checkpoint writer).
     pub fn save_artifact(
         &self,
         path: impl AsRef<Path>,
@@ -1033,16 +995,20 @@ impl EdgeModel {
     }
 }
 
-/// Rewrites the artifact at `path` (legacy or mapped) in the mapped layout
-/// at `out`, optionally (re-)quantizing — the `fsck --upgrade` migration.
-/// `out` may equal `path`: the write is atomic, so the original survives
-/// any failure.
+/// Rewrites the artifact at `path` (legacy envelope or mapped) in the
+/// mapped layout at `out`, optionally (re-)quantizing — the `fsck
+/// --upgrade` migration. `out` may equal `path`: the write is atomic, so
+/// the original survives any failure.
 pub fn upgrade_artifact(
     path: impl AsRef<Path>,
     out: impl AsRef<Path>,
     quant: QuantMode,
 ) -> Result<ArtifactInfo, PersistError> {
-    let model = ModelArtifact::open(&path)?.load_model()?;
+    let model = if crate::persist::is_envelope_file(path.as_ref())? {
+        crate::persist::read_legacy_model(&path)?
+    } else {
+        ModelArtifact::open(&path)?.load_model()?
+    };
     model.save_artifact(&out, quant)?;
     crate::persist::inspect_artifact(&out)
 }
@@ -1085,12 +1051,6 @@ pub(crate) fn inspect_mapped(path: &Path) -> Result<ArtifactInfo, PersistError> 
         quant: Some(meta.quant.clone()),
         sections: artifact.section_infos(),
     })
-}
-
-/// Whether the file at `path` starts with the mapped magic (no
-/// verification; used by `inspect_artifact` to route).
-pub(crate) fn sniff_mapped(path: &Path) -> Result<bool, PersistError> {
-    is_mapped_file(path)
 }
 
 #[cfg(test)]
@@ -1145,27 +1105,22 @@ mod tests {
 
     #[test]
     fn mapped_f32_round_trip_is_bit_identical() {
+        let _fp = edge_faults::FailScenario::setup();
         let (model, d) = trained();
         let dir = tmp_dir("f32");
-        let legacy = dir.join("legacy.edge");
         let mapped = dir.join("model.edgemap");
-        #[allow(deprecated)]
-        model.save(&legacy).expect("legacy save");
         model.save_artifact(&mapped, QuantMode::None).expect("mapped save");
 
         let art = ModelArtifact::open(&mapped).expect("open");
-        assert!(art.is_mapped());
         assert_eq!(art.quant(), QuantMode::None);
         let via_map = art.load_model().expect("load");
-        #[allow(deprecated)]
-        let via_legacy = EdgeModel::load(&legacy).expect("legacy load");
 
         let (_, test) = d.paper_split();
         let opts = PredictOptions::default();
         let mut compared = 0;
         for t in test.iter().take(80) {
             let req = PredictRequest::text(&t.text);
-            match (via_legacy.locate(&req, &opts), via_map.locate(&req, &opts)) {
+            match (model.locate(&req, &opts), via_map.locate(&req, &opts)) {
                 (Ok(a), Ok(b)) => {
                     let (a, b) = (a.prediction, b.prediction);
                     assert_eq!(a.point, b.point, "points differ for: {}", t.text);
@@ -1179,7 +1134,7 @@ mod tests {
         }
         assert!(compared > 20, "compared only {compared}");
 
-        // fsck understands the new format: section table + quant mode.
+        // fsck understands the format: section table + quant mode.
         let info = crate::persist::inspect_artifact(&mapped).expect("fsck");
         assert_eq!(info.quant.as_deref(), Some("none"));
         let tags: Vec<&str> = info.sections.iter().map(|s| s.tag.as_str()).collect();
@@ -1190,6 +1145,7 @@ mod tests {
 
     #[test]
     fn quantized_round_trips_have_bounded_drift() {
+        let _fp = edge_faults::FailScenario::setup();
         let (model, d) = trained();
         let dir = tmp_dir("quant");
         for (quant, bound_km) in [(QuantMode::F16, 5.0), (QuantMode::Int8, 25.0)] {
@@ -1214,25 +1170,32 @@ mod tests {
 
     #[test]
     fn upgrade_rewrites_legacy_envelope_in_place() {
-        let (model, d) = trained();
+        let _fp = edge_faults::FailScenario::setup();
         let dir = tmp_dir("upgrade");
         let path = dir.join("model.edge");
-        #[allow(deprecated)]
-        model.save(&path).expect("legacy save");
-        assert!(!ModelArtifact::open(&path).unwrap().is_mapped());
+        std::fs::copy(crate::persist::tests::FIXTURE, &path).unwrap();
+        let legacy = crate::persist::read_legacy_model(&path).expect("legacy read");
 
         let info = upgrade_artifact(&path, &path, QuantMode::None).expect("upgrade");
         assert_eq!(info.quant.as_deref(), Some("none"));
-        let art = ModelArtifact::open(&path).expect("open upgraded");
-        assert!(art.is_mapped());
-        let upgraded = art.load_model().expect("load");
-        let (_, drift) = compare_predictions(&model, &upgraded, &d);
+        let upgraded = ModelArtifact::open(&path).expect("open upgraded").load_model().unwrap();
+        let (_, drift) = compare_predictions(&legacy, &upgraded, &nyma(PresetSize::Smoke, 11));
         assert_eq!(drift, 0.0, "upgrade changed predictions");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
+    fn open_refuses_a_legacy_envelope_and_names_the_upgrade() {
+        let err = ModelArtifact::open(crate::persist::tests::FIXTURE).err().expect("refused");
+        assert!(matches!(err, PersistError::LegacyEnvelope), "{err:?}");
+        assert!(err.to_string().contains("edge-cli fsck --upgrade"), "{err}");
+        let err = EdgeModel::load_artifact(crate::persist::tests::FIXTURE).err().unwrap();
+        assert!(matches!(err, PersistError::LegacyEnvelope), "{err:?}");
+    }
+
+    #[test]
     fn artifact_load_trait_serves_predictors() {
+        let _fp = edge_faults::FailScenario::setup();
         let (model, _) = trained();
         let dir = tmp_dir("trait");
         let path = dir.join("model.edgemap");
@@ -1250,6 +1213,7 @@ mod tests {
 
     #[test]
     fn open_rejects_corruption_without_panicking() {
+        let _fp = edge_faults::FailScenario::setup();
         let (model, _) = trained();
         let dir = tmp_dir("corrupt");
         let path = dir.join("model.edgemap");
@@ -1261,9 +1225,8 @@ mod tests {
         bytes[0] ^= 0xff;
         let bad = dir.join("magic.edgemap");
         std::fs::write(&bad, &bytes).unwrap();
-        // Magic no longer matches → routed to the legacy reader → typed error
-        // (either at open, if the bytes aren't UTF-8, or at load).
-        assert!(ModelArtifact::open(&bad).and_then(|a| a.load_model()).is_err());
+        // Magic no longer matches → typed error at open.
+        assert!(matches!(ModelArtifact::open(&bad), Err(PersistError::Corrupt(_))));
 
         // Truncations at every stage: header, table, payload.
         for cut in [5, HEADER_LEN - 1, HEADER_LEN + 10, pristine.len() / 2, pristine.len() - 3] {

@@ -219,6 +219,7 @@ mod tests {
 
     #[test]
     fn round_trip_and_retention() {
+        let _fp = edge_faults::FailScenario::setup();
         let dir = tmp_dir("rt");
         let cp = Checkpointer::new(&dir, 2, 2);
         assert!(!cp.due_after(0) && cp.due_after(1) && !cp.due_after(2) && cp.due_after(3));
@@ -241,6 +242,7 @@ mod tests {
 
     #[test]
     fn latest_skips_corrupt_and_falls_back() {
+        let _fp = edge_faults::FailScenario::setup();
         let dir = tmp_dir("fallback");
         let cp = Checkpointer::new(&dir, 1, 10);
         cp.write(&tiny_state(2)).unwrap();

@@ -159,8 +159,6 @@ pub struct EdgeModel {
     /// Training-split location prior (one Gaussian over all training
     /// tweets), the opt-in fallback for zero-entity tweets.
     prior: Option<GaussianMixture>,
-    /// Whether `predict` falls back to `prior` for zero-entity tweets.
-    fallback_prior: bool,
 }
 
 impl std::fmt::Debug for EdgeModel {
@@ -277,7 +275,6 @@ impl EdgeModel {
             b2,
             smoothed: SmoothedStore::Owned(Matrix::zeros(0, 0)),
             prior,
-            fallback_prior: false,
         };
 
         // Stage 4: end-to-end optimization (Eq. 13).
@@ -687,7 +684,6 @@ impl EdgeModel {
             b2,
             smoothed: SmoothedStore::Owned(Matrix::zeros(0, 0)),
             prior,
-            fallback_prior: false,
         };
         model.refresh_smoothed();
         model
@@ -727,7 +723,6 @@ impl EdgeModel {
             b2,
             smoothed,
             prior,
-            fallback_prior: false,
         }
     }
 
@@ -788,23 +783,6 @@ impl EdgeModel {
         self.prior.as_ref()
     }
 
-    /// Opt into (or out of) predicting the training-split prior for tweets
-    /// with no recognized entity (legacy mutating flag, consulted only by
-    /// the deprecated `predict`/`predict_batch` shims).
-    #[deprecated(
-        since = "0.6.0",
-        note = "pass `PredictOptions { fallback_prior: true, .. }` to `Predictor::locate` instead"
-    )]
-    pub fn set_fallback_prior(&mut self, enabled: bool) {
-        self.fallback_prior = enabled;
-    }
-
-    /// Whether the zero-entity prior fallback is active.
-    #[deprecated(since = "0.6.0", note = "the fallback is per-call now; see `PredictOptions`")]
-    pub fn fallback_prior_enabled(&self) -> bool {
-        self.fallback_prior && self.prior.is_some()
-    }
-
     /// The entity inventory.
     pub fn entity_index(&self) -> &EntityIndex {
         &self.index
@@ -839,9 +817,7 @@ impl EdgeModel {
 
     /// Predicts one request without batching plumbing: resolves entities
     /// (for text input), applies the zero-entity policy from `opts`, and
-    /// runs the tape-free inference engine. Both the [`Predictor`]
-    /// implementation and the deprecated shims route through here, so the
-    /// serving layer and the legacy API are bit-identical by construction.
+    /// runs the tape-free inference engine.
     fn locate_one(
         &self,
         request: &PredictRequest,
@@ -899,45 +875,6 @@ impl EdgeModel {
             prediction: Prediction { mixture, point, attention },
             from_fallback: false,
         })
-    }
-
-    /// The [`PredictOptions`] equivalent of the deprecated mutating
-    /// `set_fallback_prior` flag (used by the legacy shims only).
-    fn legacy_options(&self) -> PredictOptions {
-        PredictOptions { fallback_prior: self.fallback_prior }
-    }
-
-    /// Predicts a location mixture for a tweet text.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `Predictor::locate` with `PredictRequest::text` (returns a typed \
-                `PredictError::NoEntities` abstention instead of `None`)"
-    )]
-    pub fn predict(&self, text: &str) -> Option<Prediction> {
-        self.locate_one(&PredictRequest::text(text), &self.legacy_options())
-            .ok()
-            .map(|r| r.prediction)
-    }
-
-    /// Predicts a batch of tweet texts.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `Predictor::locate_batch` with `PredictRequest::text` requests"
-    )]
-    pub fn predict_batch(&self, texts: &[&str]) -> Vec<Option<Prediction>> {
-        let requests: Vec<PredictRequest> =
-            texts.iter().map(|&t| PredictRequest::text(t)).collect();
-        self.locate_batch(&requests, &self.legacy_options())
-            .into_iter()
-            .map(|r| r.ok().map(|r| r.prediction))
-            .collect()
-    }
-
-    /// Predicts from resolved entity indices.
-    #[deprecated(since = "0.6.0", note = "use `Predictor::locate` with `PredictRequest::entities`")]
-    pub fn predict_entities(&self, entities: &[usize]) -> Result<Prediction, PredictError> {
-        self.locate_one(&PredictRequest::entities(entities), &PredictOptions::default())
-            .map(|r| r.prediction)
     }
 }
 
@@ -1085,47 +1022,6 @@ mod tests {
         assert_eq!(err.unwrap_err(), PredictError::EntityOutOfRange { id: n, n_entities: n });
     }
 
-    /// The deprecated pre-`Predictor` surface stays behaviorally identical
-    /// to the unified API it delegates to. This module is the shim layer's
-    /// only sanctioned caller.
-    #[allow(deprecated)]
-    mod deprecated_shims {
-        use super::*;
-
-        #[test]
-        fn shims_delegate_to_the_unified_api() {
-            let (mut model, _, d) = trained();
-            let (_, test) = d.paper_split();
-            let t = test.iter().find(|t| !model.resolve_entities(&t.text).is_empty()).unwrap();
-            let via_shim = model.predict(&t.text).expect("covered");
-            let via_locate = model
-                .locate(&PredictRequest::text(&t.text), &PredictOptions::default())
-                .expect("covered");
-            assert_eq!(via_shim.point, via_locate.prediction.point);
-            assert_eq!(via_shim.attention, via_locate.prediction.attention);
-
-            let batched = model.predict_batch(&[t.text.as_str(), "zzz unknown"]);
-            assert_eq!(batched[0].as_ref().unwrap().point, via_shim.point);
-            assert!(batched[1].is_none(), "uncovered text maps back to None");
-
-            let ids = model.resolve_entities(&t.text);
-            let via_entities = model.predict_entities(&ids).expect("covered");
-            assert_eq!(via_entities.point, via_shim.point);
-            assert_eq!(
-                model.predict_entities(&[]).unwrap_err(),
-                PredictError::NoEntities,
-                "empty entity slice stays a typed error"
-            );
-
-            // The mutating fallback flag still drives the shims.
-            assert!(model.predict("zzz qqq unknown").is_none());
-            model.set_fallback_prior(true);
-            assert!(model.fallback_prior_enabled());
-            let p = model.predict("zzz qqq unknown").expect("prior fallback");
-            assert!(p.attention.is_empty());
-        }
-    }
-
     #[test]
     fn training_is_deterministic() {
         let d = nyma(PresetSize::Smoke, 21);
@@ -1258,6 +1154,7 @@ mod tests {
 
     #[test]
     fn checkpointed_run_matches_plain_run_and_resumes_from_scratch() {
+        let _fp = edge_faults::FailScenario::setup();
         // Checkpointing must not perturb training; `resume` with an empty
         // directory is a fresh start. (Failpoint-driven interruption tests
         // live in `tests/faults.rs` — a separate process — because the

@@ -1,30 +1,28 @@
-//! Legacy model persistence: the checksummed JSON envelope, plus the
-//! typed error and `fsck` machinery shared with the mmap layout.
+//! The checksummed JSON envelope, plus the typed error and `fsck`
+//! machinery shared with the mapped model layout.
 //!
-//! New artifacts are written in the zero-copy mapped layout by
-//! [`crate::artifact`] (`EdgeModel::save_artifact`), and loading goes
-//! through [`crate::artifact::ModelArtifact`], which sniffs the magic and
-//! falls back to this module's envelope reader — existing artifacts stay
-//! loadable forever, and `fsck --upgrade` migrates them. The envelope is
-//! still what training checkpoints use ([`crate::checkpoint`]): they are
-//! read-modify-write state, not serve-time weights, so zero-copy buys
-//! nothing there.
+//! Models are written only in the zero-copy mapped layout of
+//! [`crate::artifact`] (`EdgeModel::save_artifact`) and loaded through
+//! [`crate::artifact::ModelArtifact`]. The envelope remains the format of
+//! training checkpoints ([`crate::checkpoint`]): they are read-modify-write
+//! state, not serve-time weights, so zero-copy buys nothing there. Models
+//! saved in the envelope by older releases are read only by `edge-cli fsck`
+//! ([`inspect_artifact`]) and `edge-cli fsck --upgrade`
+//! ([`crate::artifact::upgrade_artifact`]), which rewrites them in the
+//! mapped layout; [`crate::artifact::ModelArtifact::open`] refuses them with
+//! [`PersistError::LegacyEnvelope`].
 //!
-//! Every artifact (models here, training checkpoints in
-//! [`crate::checkpoint`]) is written crash-safely — temp file, fsync, atomic
-//! rename — and wrapped in a two-line envelope:
+//! Every envelope is written crash-safely — temp file, fsync, atomic
+//! rename — and has two lines:
 //!
 //! ```text
-//! {"magic":"EDGEART","envelope_version":1,"kind":"model","payload_bytes":N,"crc64":"…"}
+//! {"magic":"EDGEART","envelope_version":1,"kind":"checkpoint","payload_bytes":N,"crc64":"…"}
 //! { …payload JSON… }
 //! ```
 //!
 //! The header carries the byte length and CRC-64/XZ of the payload, so the
-//! loader distinguishes a truncated or bit-flipped file from a valid one and
-//! returns [`PersistError::Corrupt`] instead of misreading it. JSON is
-//! deliberately chosen over a binary format: models at the paper's scale are
-//! a few tens of megabytes, and an inspectable artifact is worth more than
-//! the size savings here.
+//! reader distinguishes a truncated or bit-flipped file from a valid one and
+//! returns [`PersistError::Corrupt`] instead of misreading it.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -51,6 +49,9 @@ pub enum PersistError {
     /// The document was readable but internally inconsistent: bad magic,
     /// checksum mismatch, truncation, or invalid cross-references.
     Corrupt(String),
+    /// A model saved in the JSON envelope of older releases, which only
+    /// `edge-cli fsck` and `edge-cli fsck --upgrade` read.
+    LegacyEnvelope,
 }
 
 impl std::fmt::Display for PersistError {
@@ -59,6 +60,11 @@ impl std::fmt::Display for PersistError {
             PersistError::Io(e) => write!(f, "artifact I/O error: {e}"),
             PersistError::Format(e) => write!(f, "artifact format error: {e}"),
             PersistError::Corrupt(msg) => write!(f, "corrupt artifact: {msg}"),
+            PersistError::LegacyEnvelope => write!(
+                f,
+                "legacy JSON-envelope model artifact: convert it to the mapped layout with \
+                 `edge-cli fsck --upgrade <path>`"
+            ),
         }
     }
 }
@@ -68,7 +74,7 @@ impl std::error::Error for PersistError {
         match self {
             PersistError::Io(e) => Some(e),
             PersistError::Format(e) => Some(e),
-            PersistError::Corrupt(_) => None,
+            PersistError::Corrupt(_) | PersistError::LegacyEnvelope => None,
         }
     }
 }
@@ -89,7 +95,8 @@ impl From<serde_json::Error> for PersistError {
 pub const MAGIC: &str = "EDGEART";
 /// Version of the envelope itself (header line + checksummed payload line).
 pub const ENVELOPE_VERSION: u32 = 1;
-/// `kind` tag for saved models.
+/// `kind` tag for models (legacy envelopes, and what `fsck` reports for
+/// mapped artifacts).
 pub const KIND_MODEL: &str = "model";
 /// `kind` tag for training checkpoints.
 pub const KIND_CHECKPOINT: &str = "checkpoint";
@@ -106,6 +113,19 @@ struct ArtifactHeader {
 
 fn crc_hex(payload: &[u8]) -> String {
     format!("{:016x}", crc64::checksum(payload))
+}
+
+/// The bytes every envelope starts with (its header's first field).
+const ENVELOPE_PREFIX: &[u8] = b"{\"magic\":\"EDGEART\"";
+
+/// Whether the file at `path` starts like an envelope (a legacy model or a
+/// checkpoint) rather than a mapped artifact. Reads only the prefix; no
+/// verification.
+pub(crate) fn is_envelope_file(path: &Path) -> Result<bool, PersistError> {
+    use std::io::Read;
+    let mut head = Vec::with_capacity(ENVELOPE_PREFIX.len());
+    std::fs::File::open(path)?.take(ENVELOPE_PREFIX.len() as u64).read_to_end(&mut head)?;
+    Ok(head == ENVELOPE_PREFIX)
 }
 
 /// Writes `payload` (a JSON document) to `path` under a checksummed envelope,
@@ -212,11 +232,10 @@ pub struct ArtifactInfo {
 
 /// Fully verifies the artifact at `path`: envelope + checksum + payload
 /// parse + internal consistency. This is the engine behind `edge-cli fsck`.
-/// Routes on the magic bytes: mapped artifacts get the section-table
-/// verification in [`crate::artifact`], everything else the legacy
-/// envelope checks below.
+/// Routes on the first bytes: envelopes get the checks below, everything
+/// else the section-table verification in [`crate::artifact`].
 pub fn inspect_artifact(path: impl AsRef<Path>) -> Result<ArtifactInfo, PersistError> {
-    if crate::artifact::sniff_mapped(path.as_ref())? {
+    if !is_envelope_file(path.as_ref())? {
         return crate::artifact::inspect_mapped(path.as_ref());
     }
     let (header, payload) = read_envelope(&path)?;
@@ -261,9 +280,9 @@ pub fn inspect_artifact(path: impl AsRef<Path>) -> Result<ArtifactInfo, PersistE
     })
 }
 
-/// The on-disk model payload. Version-tagged so future format changes can be
-/// detected instead of misread.
-#[derive(Serialize, Deserialize)]
+/// The legacy envelope's model payload. Version-tagged so format changes
+/// are detected instead of misread.
+#[derive(Deserialize)]
 pub(crate) struct SavedModel {
     pub(crate) format_version: u32,
     pub(crate) config: EdgeConfig,
@@ -335,98 +354,43 @@ impl SavedModel {
     }
 }
 
-impl EdgeModel {
-    /// Saves the trained model in the legacy JSON envelope — crash-safe
-    /// (temp file + fsync + atomic rename) and checksummed.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `save_artifact` (zero-copy mmap layout, optional quantization); this \
-                writer remains for producing legacy-envelope artifacts only"
-    )]
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        self.save_envelope(path)
-    }
-
-    /// Loads a model artifact in either format, verifying checksums first.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `ModelArtifact::open(path)?.load_model()` or \
-                `<EdgeModel as ArtifactLoad>::load_artifact(path)`"
-    )]
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        crate::artifact::ModelArtifact::open(path)?.load_model()
-    }
-
-    /// The non-deprecated legacy-envelope writer (the `--format legacy`
-    /// escape hatch and the deprecated [`EdgeModel::save`] shim).
-    pub(crate) fn save_envelope(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        let doc = self.to_saved()?;
-        let json = serde_json::to_string(&doc)?;
-        write_artifact(path, KIND_MODEL, &json)
-    }
-
-    /// Fallible because a mapped model materializes its lazy adjacency
-    /// section here.
-    pub(crate) fn to_saved(&self) -> Result<SavedModel, PersistError> {
-        Ok(SavedModel {
-            format_version: FORMAT_VERSION,
-            config: self.config().clone(),
-            ner: self.recognizer().clone(),
-            index: self.entity_index().clone(),
-            adjacency: self.try_adjacency()?.as_ref().clone(),
-            features: self.feature_matrix().clone(),
-            params: self.param_store().clone(),
-            w_gcn: self.gcn_param_ids().to_vec(),
-            q1: self.attention_param_ids().0,
-            b1: self.attention_param_ids().1,
-            q2: self.head_param_ids().0,
-            b2: self.head_param_ids().1,
-            prior: self.prior().cloned(),
-        })
-    }
-
-    pub(crate) fn from_saved(doc: SavedModel) -> Self {
-        Self::from_parts(
-            doc.config,
-            doc.ner,
-            doc.index,
-            Arc::new(doc.adjacency),
-            doc.features,
-            doc.params,
-            doc.w_gcn,
-            doc.q1,
-            doc.b1,
-            doc.q2,
-            doc.b2,
-            doc.prior,
-        )
-    }
+/// Reads, verifies and rebuilds the model in a legacy envelope — the input
+/// side of `fsck --upgrade`. The diffused-embedding cache is recomputed, so
+/// the result predicts bit-identically to the model that was saved.
+pub(crate) fn read_legacy_model(path: impl AsRef<Path>) -> Result<EdgeModel, PersistError> {
+    let doc: SavedModel = serde_json::from_str(&read_artifact(path, KIND_MODEL)?)?;
+    doc.validate()?;
+    Ok(EdgeModel::from_parts(
+        doc.config,
+        doc.ner,
+        doc.index,
+        Arc::new(doc.adjacency),
+        doc.features,
+        doc.params,
+        doc.w_gcn,
+        doc.q1,
+        doc.b1,
+        doc.q2,
+        doc.b2,
+        doc.prior,
+    ))
 }
 
 #[cfg(test)]
-// The deprecated save/load shims are exercised on purpose: they must keep
-// delegating to the artifact API bit-identically.
-#[allow(deprecated)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::model::TrainOptions;
+    use crate::artifact::{ModelArtifact, QuantMode};
     use crate::predict::{PredictOptions, PredictRequest, Predictor};
-    use edge_data::{dataset_recognizer, nyma, PresetSize};
+    use edge_data::{nyma, PresetSize};
 
-    fn trained() -> (EdgeModel, edge_data::Dataset) {
-        let d = nyma(PresetSize::Smoke, 71);
-        let (train, _) = d.paper_split();
-        let mut cfg = EdgeConfig::smoke();
-        cfg.epochs = 3;
-        let (model, _) = EdgeModel::train(
-            &train[..1000],
-            dataset_recognizer(&d),
-            &d.bbox,
-            cfg,
-            &TrainOptions::default(),
-        )
-        .expect("train");
-        (model, d)
+    /// A model the legacy writer saved: `edge-cli generate --preset nyma
+    /// --size smoke --seed 11`, then `train --profile smoke --epochs 2` in
+    /// the envelope layout.
+    pub(crate) const FIXTURE: &str =
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/legacy_v2_smoke.edge");
+
+    fn fixture_doc() -> SavedModel {
+        serde_json::from_str(&read_artifact(FIXTURE, KIND_MODEL).unwrap()).unwrap()
     }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -437,18 +401,22 @@ mod tests {
 
     #[test]
     fn save_load_round_trip_preserves_predictions() {
-        let (model, d) = trained();
+        let _fp = edge_faults::FailScenario::setup();
+        // A legacy-loaded model re-saved in the mapped layout and opened
+        // again predicts bit-identically.
+        let legacy = read_legacy_model(FIXTURE).expect("legacy read");
         let dir = tmp_dir("roundtrip");
         let path = dir.join("model.edge");
-        model.save(&path).expect("save");
-        let loaded = EdgeModel::load(&path).expect("load");
+        legacy.save_artifact(&path, QuantMode::None).expect("save");
+        let loaded = ModelArtifact::open(&path).and_then(|a| a.load_model()).expect("load");
 
+        let d = nyma(PresetSize::Smoke, 11);
         let (_, test) = d.paper_split();
         let mut compared = 0;
         for t in test.iter().take(60) {
             let req = PredictRequest::text(&t.text);
             let opts = PredictOptions::default();
-            match (model.locate(&req, &opts), loaded.locate(&req, &opts)) {
+            match (legacy.locate(&req, &opts), loaded.locate(&req, &opts)) {
                 (Ok(a), Ok(b)) => {
                     let (a, b) = (a.prediction, b.prediction);
                     assert_eq!(a.point, b.point, "points differ for: {}", t.text);
@@ -462,8 +430,8 @@ mod tests {
         }
         assert!(compared > 20, "compared only {compared}");
 
-        // The saved artifact passes fsck and reports itself as a model.
-        let info = inspect_artifact(&path).expect("fsck");
+        // fsck reads the legacy envelope and reports it as a v2 model.
+        let info = inspect_artifact(FIXTURE).expect("fsck");
         assert_eq!(info.kind, KIND_MODEL);
         assert_eq!(info.payload_version, FORMAT_VERSION);
         assert!(info.detail.contains("entities"), "{}", info.detail);
@@ -472,16 +440,15 @@ mod tests {
 
     #[test]
     fn load_rejects_wrong_version() {
-        let (model, _) = trained();
-        let mut doc = model.to_saved().unwrap();
+        let mut doc = fixture_doc();
+        doc.validate().expect("the fixture is consistent");
         doc.format_version = 999;
         assert!(matches!(doc.validate(), Err(PersistError::Corrupt(_))));
     }
 
     #[test]
     fn load_rejects_inconsistent_shapes() {
-        let (model, _) = trained();
-        let mut doc = model.to_saved().unwrap();
+        let mut doc = fixture_doc();
         doc.features = Matrix::zeros(3, 3);
         assert!(matches!(doc.validate(), Err(PersistError::Corrupt(_))));
     }
@@ -492,24 +459,24 @@ mod tests {
         // No newline at all: the envelope itself is missing → Corrupt.
         let path = dir.join("garbage.edge");
         std::fs::write(&path, "{not json").unwrap();
-        assert!(matches!(EdgeModel::load(&path), Err(PersistError::Corrupt(_))));
+        assert!(matches!(read_legacy_model(&path), Err(PersistError::Corrupt(_))));
         // A header line that is not valid JSON → Format.
         std::fs::write(&path, "{not json\n{}").unwrap();
-        assert!(matches!(EdgeModel::load(&path), Err(PersistError::Format(_))));
+        assert!(matches!(read_legacy_model(&path), Err(PersistError::Format(_))));
         // Valid JSON header with the wrong magic → Corrupt.
         std::fs::write(
             &path,
             "{\"magic\":\"NOPE\",\"envelope_version\":1,\"kind\":\"model\",\"payload_bytes\":2,\"crc64\":\"0\"}\n{}",
         )
         .unwrap();
-        assert!(matches!(EdgeModel::load(&path), Err(PersistError::Corrupt(_))));
+        assert!(matches!(read_legacy_model(&path), Err(PersistError::Corrupt(_))));
         // Missing file → Io.
-        assert!(matches!(EdgeModel::load(dir.join("missing.edge")), Err(PersistError::Io(_))));
+        assert!(matches!(read_legacy_model(dir.join("missing.edge")), Err(PersistError::Io(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
-
     #[test]
     fn envelope_detects_bit_flips_and_truncation() {
+        let _fp = edge_faults::FailScenario::setup();
         let dir = tmp_dir("flips");
         let path = dir.join("tiny.edge");
         write_artifact(&path, KIND_MODEL, "{\"x\":12345}").unwrap();
@@ -536,6 +503,7 @@ mod tests {
 
     #[test]
     fn read_artifact_rejects_wrong_kind() {
+        let _fp = edge_faults::FailScenario::setup();
         let dir = tmp_dir("kind");
         let path = dir.join("thing.edge");
         write_artifact(&path, KIND_CHECKPOINT, "{}").unwrap();

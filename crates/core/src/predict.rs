@@ -1,26 +1,19 @@
-//! The unified prediction API: one batch-first [`Predictor`] interface that
-//! the server, the CLI, the bench harness, and the baselines all speak.
-//!
-//! Before this module the prediction surface had fragmented — the model
-//! exposed `predict` (`Option`), `predict_batch` (`Vec<Option>`),
-//! `predict_entities` (`Result`) and an untyped `evaluate` tuple, while the
-//! baselines evaluated through their own `Geolocator` trait. [`Predictor`]
-//! replaces all of it:
+//! The prediction API: one batch-first [`Predictor`] interface that the
+//! server, the CLI, the bench harness, and the baselines all speak.
 //!
 //! - **batch is the primitive** — [`Predictor::locate_batch`] takes a slice
 //!   of [`PredictRequest`]s and fans out across the `edge-par` pool;
 //!   [`Predictor::locate`] is the single-request delegate;
-//! - **options are explicit** — the old `set_fallback_prior` mutating flag
-//!   is folded into [`PredictOptions`], passed per call;
+//! - **options are explicit** — the zero-entity fallback policy is a
+//!   [`PredictOptions`] field, passed per call;
 //! - **abstention is typed** — a tweet without known entities is
 //!   `Err(PredictError::NoEntities)`, never a bare `None`;
 //! - **evaluation is typed** — [`Predictor::evaluate`] returns an
 //!   [`EvalOutcome`] (pairs, coverage, abstained count) instead of a tuple.
 //!
-//! The point-estimate [`Geolocator`] facade (previously in
-//! `edge-baselines`) lives here too, with a blanket implementation for
-//! every `Predictor`, so EDGE, BOW and the classical baselines are all
-//! scored through one interface.
+//! The point-estimate [`Geolocator`] facade lives here too, with a blanket
+//! implementation for every `Predictor`, so EDGE, BOW and the classical
+//! baselines are all scored through one interface.
 
 use edge_data::Tweet;
 use edge_geo::{DistanceReport, Point};

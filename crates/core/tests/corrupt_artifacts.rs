@@ -1,10 +1,10 @@
 //! Property tests for artifact-corruption handling: a saved model damaged
 //! by truncation at any offset or by any single flipped bit must always
 //! fail to load with a typed [`PersistError`] — never a panic, never a
-//! silently wrong model. Both persistence formats are covered: the legacy
-//! JSON envelope (via the deprecated `EdgeModel::load`, which this suite
-//! deliberately keeps exercising) and the zero-copy mapped layout.
-#![allow(deprecated)]
+//! silently wrong model. Both formats are covered: the zero-copy mapped
+//! layout through `ModelArtifact`, and a committed legacy JSON envelope
+//! through the only paths that still read it, `inspect_artifact` (`fsck`)
+//! and `upgrade_artifact` (`fsck --upgrade`).
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -12,8 +12,8 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use edge_core::{
-    EdgeConfig, EdgeModel, ModelArtifact, PersistError, PredictRequest, Predictor, QuantMode,
-    TrainOptions,
+    inspect_artifact, upgrade_artifact, EdgeConfig, EdgeModel, ModelArtifact, PersistError,
+    PredictRequest, Predictor, QuantMode, TrainOptions,
 };
 use edge_data::{SimDate, Tweet};
 use edge_geo::{BBox, Point};
@@ -52,15 +52,14 @@ fn trained_model() -> &'static EdgeModel {
     })
 }
 
-/// Bytes of the model saved in the legacy envelope format.
+/// Bytes of a model the legacy writer saved in the JSON envelope
+/// (`generate --preset nyma --size smoke --seed 11`, then `train --profile
+/// smoke --epochs 2`).
 fn model_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
-        let path = scratch_path("pristine");
-        trained_model().save(&path).expect("save");
-        let bytes = std::fs::read(&path).expect("read back");
-        std::fs::remove_file(&path).ok();
-        bytes
+        std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/legacy_v2_smoke.edge"))
+            .expect("read the legacy fixture")
     })
 }
 
@@ -90,18 +89,21 @@ fn scratch_path(tag: &str) -> PathBuf {
     dir.join(format!("{tag}.edge"))
 }
 
-/// Writes `bytes` and asserts that loading yields a typed error without
-/// panicking, returning the error's display for diagnostics.
+/// Writes `bytes` and asserts that both `fsck` and `fsck --upgrade` reject
+/// them with a typed error without panicking (and that the upgrade writes
+/// nothing), returning the error's display for diagnostics.
 fn load_must_fail(bytes: &[u8], tag: &str) -> Result<String, String> {
     let path = scratch_path(tag);
+    let out = scratch_path(&format!("{tag}_upgraded"));
     std::fs::write(&path, bytes).map_err(|e| e.to_string())?;
-    let outcome = EdgeModel::load(&path);
+    let inspected = inspect_artifact(&path);
+    let upgraded = upgrade_artifact(&path, &out, QuantMode::None);
+    let wrote = out.exists();
     std::fs::remove_file(&path).ok();
-    match outcome {
-        Err(e @ (PersistError::Io(_) | PersistError::Format(_) | PersistError::Corrupt(_))) => {
-            Ok(e.to_string())
-        }
-        Ok(_) => Err(format!("damaged artifact ({tag}) loaded successfully")),
+    std::fs::remove_file(&out).ok();
+    match (inspected, upgraded) {
+        (Err(_), Err(e)) if !wrote => Ok(e.to_string()),
+        _ => Err(format!("damaged artifact ({tag}) passed fsck or upgraded")),
     }
 }
 
@@ -115,6 +117,7 @@ fn load_mapped_must_fail(bytes: &[u8], tag: &str) -> Result<String, String> {
         Err(e @ (PersistError::Io(_) | PersistError::Format(_) | PersistError::Corrupt(_))) => {
             Ok(e.to_string())
         }
+        Err(PersistError::LegacyEnvelope) => Err(format!("{tag} read as a legacy envelope")),
         Ok(_) => Err(format!("damaged artifact ({tag}) loaded successfully")),
     }
 }
@@ -206,10 +209,15 @@ fn pristine_mapped_bytes_load() {
 
 #[test]
 fn pristine_bytes_load() {
-    // Sanity check for the suite itself: the undamaged bytes do load.
+    // Sanity check for the suite itself: the undamaged envelope passes fsck
+    // and upgrades to a model that serves.
     let path = scratch_path("sane");
+    let out = scratch_path("sane_upgraded");
     std::fs::write(&path, model_bytes()).unwrap();
-    let model = EdgeModel::load(&path).expect("pristine artifact loads");
-    assert!(model.locate(&PredictRequest::text("alpha cafe"), &Default::default()).is_ok());
+    assert_eq!(inspect_artifact(&path).expect("pristine envelope passes fsck").kind, "model");
+    upgrade_artifact(&path, &out, QuantMode::None).expect("pristine envelope upgrades");
+    let model = ModelArtifact::open(&out).expect("open").load_model().expect("load");
+    assert!(model.locate(&PredictRequest::entities([0]), &Default::default()).is_ok());
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&out).ok();
 }

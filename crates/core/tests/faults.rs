@@ -15,8 +15,8 @@
 use std::path::PathBuf;
 
 use edge_core::{
-    inspect_artifact, load_checkpoint, Checkpointer, EdgeConfig, EdgeModel, PredictRequest,
-    Predictor, TrainError, TrainOptions,
+    inspect_artifact, load_checkpoint, ArtifactLoad, Checkpointer, EdgeConfig, EdgeModel,
+    PredictRequest, Predictor, QuantMode, TrainError, TrainOptions,
 };
 use edge_data::{SimDate, Tweet};
 use edge_geo::{BBox, Point};
@@ -246,7 +246,6 @@ fn checkpoint_write_failures_do_not_kill_training() {
 }
 
 #[test]
-#[allow(deprecated)] // the legacy envelope writer's crash-safety stays covered
 fn model_save_failures_leave_previous_model_on_disk() {
     let _s = edge_faults::FailScenario::setup();
     let tweets = corpus();
@@ -254,15 +253,15 @@ fn model_save_failures_leave_previous_model_on_disk() {
         EdgeModel::train(&tweets, venue_ner(), &bbox(), cfg(2), &TrainOptions::default()).unwrap();
     let dir = tmp_dir("save");
     let path = dir.join("model.edge");
-    m1.save(&path).unwrap();
+    m1.save_artifact(&path, QuantMode::None).unwrap();
 
     for (fp, spec) in
         [("persist.save", "err"), ("fsio.write", "partial(64)"), ("fsio.fsync", "err")]
     {
         edge_faults::configure(fp, spec).unwrap();
-        assert!(m1.save(&path).is_err(), "{fp} should fail the save");
+        assert!(m1.save_artifact(&path, QuantMode::None).is_err(), "{fp} should fail the save");
         edge_faults::remove(fp);
-        let reloaded = EdgeModel::load(&path).expect("previous artifact must stay valid");
+        let reloaded = EdgeModel::load_artifact(&path).expect("previous artifact must stay valid");
         assert_params_identical(&m1, &reloaded, fp);
     }
     std::fs::remove_dir_all(&dir).ok();

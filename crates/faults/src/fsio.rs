@@ -95,6 +95,7 @@ mod tests {
 
     #[test]
     fn writes_bytes_and_creates_parents() {
+        let _s = FailScenario::setup();
         let dir = tmp_dir("ok");
         let path = dir.join("nested/deeper/out.bin");
         atomic_write(&path, b"payload").unwrap();
@@ -105,6 +106,7 @@ mod tests {
 
     #[test]
     fn overwrite_replaces_whole_file() {
+        let _s = FailScenario::setup();
         let dir = tmp_dir("overwrite");
         let path = dir.join("out.bin");
         atomic_write(&path, b"a much longer original payload").unwrap();

@@ -35,9 +35,7 @@ pub mod heatmap;
 pub mod kde;
 pub mod metrics;
 pub mod mixture;
-pub mod partition;
 pub mod point;
-pub mod quadtree;
 pub mod simd;
 pub mod vmf;
 
@@ -48,9 +46,7 @@ pub use heatmap::Heatmap;
 pub use kde::{Kde2d, TermKde};
 pub use metrics::{rdp, DistanceReport};
 pub use mixture::GaussianMixture;
-pub use partition::Partition;
 pub use point::Point;
-pub use quadtree::Quadtree;
 pub use simd::{haversine_km_batch, simd_active, simd_available, with_scalar_kernels};
 pub use vmf::{MvMfMixture, VonMisesFisher};
 

@@ -2,17 +2,16 @@
 //! process-global, so each concern keeps to its own metric/span names and the
 //! trace assertions live in a single test body.
 
-use rayon::prelude::*;
 use std::time::Duration;
 
 use edge_obs::trace;
 
 #[test]
-fn concurrent_counter_increments_from_rayon_threads() {
+fn concurrent_counter_increments_from_pool_threads() {
     edge_obs::set_metrics_enabled(true);
     let c = edge_obs::metrics::counter("itest.concurrent.counter");
     let before = c.get();
-    (0..64usize).into_par_iter().for_each(|_| {
+    edge_par::parallel_for(64, |_| {
         for _ in 0..1_000 {
             c.inc(1);
         }

@@ -481,6 +481,7 @@ mod tests {
 
     #[test]
     fn expired_jobs_are_evicted_with_a_typed_fragment() {
+        let _s = edge_faults::FailScenario::setup();
         let q = BatchQueue::new(16);
         let p = Arc::new(Pending::new(2));
         q.try_submit(vec![

@@ -232,6 +232,7 @@ mod tests {
 
     #[test]
     fn healthy_traffic_stays_full() {
+        let _s = edge_faults::FailScenario::setup();
         let c = controller(1, 1);
         for _ in 0..50 {
             c.record(10);
@@ -242,6 +243,7 @@ mod tests {
 
     #[test]
     fn sustained_violations_escalate_with_hysteresis() {
+        let _s = edge_faults::FailScenario::setup();
         let c = controller(2, 2);
         for _ in 0..20 {
             c.record(1_000_000); // way over the 1ms target
@@ -257,6 +259,7 @@ mod tests {
 
     #[test]
     fn recovery_steps_back_one_mode_at_a_time() {
+        let _s = edge_faults::FailScenario::setup();
         let c = controller(1, 2);
         for _ in 0..10 {
             c.record(1_000_000);
@@ -275,6 +278,7 @@ mod tests {
 
     #[test]
     fn disabled_controller_is_inert() {
+        let _s = edge_faults::FailScenario::setup();
         let c = LoadController::new(BrownoutConfig {
             enabled: false,
             target_p99_us: 1,
@@ -292,6 +296,7 @@ mod tests {
 
     #[test]
     fn tick_interval_rate_limits() {
+        let _s = edge_faults::FailScenario::setup();
         let c = LoadController::new(BrownoutConfig {
             enabled: true,
             target_p99_us: 1,

@@ -25,8 +25,8 @@ use edge_obs::ring::{
     RequestRecord, N_STAGES, STAGE_BATCH, STAGE_INFERENCE, STAGE_PARSE, STAGE_QUEUE,
     STAGE_SERIALIZE,
 };
-use edge_obs::trace::DetachedSpan;
-use edge_obs::{RequestRing, SloConfig, SloStatus, SloTracker};
+use edge_obs::trace::{AdoptGuard, DetachedSpan, SpanContext};
+use edge_obs::{Histogram, RequestRing, SloConfig, SloStatus, SloTracker, SpanGuard};
 
 use crate::batch::{run_scheduler, BatchQueue, Job, Pending, StageCells};
 use crate::breaker::CircuitBreaker;
@@ -287,8 +287,8 @@ impl Server {
         Ok(Server { addr, state, loop_threads, scheduler_threads, _metrics_lease: metrics_lease })
     }
 
-    /// Loads the model from a saved artifact — mmap layout or legacy
-    /// envelope, sniffed by [`ModelArtifact::open`] — then starts.
+    /// Loads the model from a saved mapped artifact (see
+    /// [`ModelArtifact::open`]), then starts.
     pub fn start_from_artifact(path: &str, config: ServeConfig) -> Result<Server, String> {
         let model = EdgeModel::load_artifact(path).map_err(|e| format!("loading {path}: {e}"))?;
         Server::start(model, config)
@@ -463,9 +463,47 @@ fn tick_brownout(state: &ServerState, shard_idx: usize) {
 /// ring and the labeled stage histograms.
 #[derive(Default)]
 struct PredictStats {
-    stage_us: [u64; N_STAGES],
+    /// Microseconds per stage; `None` for a stage the request never
+    /// reached.
+    stage_us: [Option<u64>; N_STAGES],
     batch: u32,
     cache_hits: u32,
+}
+
+/// One timed serve stage on the loop thread: adopts the request's trace
+/// context, opens the stage span and starts the clock. Dropping it ends
+/// the span, restores the thread's context and records the stage's
+/// microseconds into its slot — zero included, since the stage ran.
+struct StageGuard<'a> {
+    slot: &'a mut Option<u64>,
+    started: Instant,
+    span: Option<SpanGuard>,
+    adopt: Option<AdoptGuard>,
+}
+
+impl<'a> StageGuard<'a> {
+    fn start(slot: &'a mut Option<u64>, ctx: SpanContext, name: &'static str) -> Self {
+        let adopt = Some(edge_obs::trace::adopt(ctx));
+        StageGuard { slot, started: Instant::now(), span: Some(edge_obs::span(name)), adopt }
+    }
+}
+
+impl Drop for StageGuard<'_> {
+    fn drop(&mut self) {
+        drop(self.span.take());
+        drop(self.adopt.take());
+        *self.slot = Some(self.started.elapsed().as_micros() as u64);
+    }
+}
+
+/// Feeds every stage the request ran into `hists`, indexed like the
+/// stages.
+fn record_stages(hists: &[&Histogram; N_STAGES], stats: &PredictStats) {
+    for (hist, us) in hists.iter().zip(stats.stage_us) {
+        if let Some(us) = us {
+            hist.record(us as f64);
+        }
+    }
 }
 
 /// How a finished predict feeds the per-shard SLO/brownout trackers.
@@ -513,11 +551,7 @@ fn finish_request(
     edge_obs::counter!("serve.requests").inc(1);
     edge_obs::histogram!("serve.request.us").record(total_us as f64);
     request_counter(endpoint, status).inc(1);
-    for (i, &us) in stats.stage_us.iter().enumerate() {
-        if us > 0 {
-            stage_hists()[i].record(us as f64);
-        }
-    }
+    record_stages(stage_hists(), stats);
     match action {
         SloAction::None => {}
         SloAction::Record(mut shards) => {
@@ -556,7 +590,7 @@ fn finish_request(
         status,
         batch: stats.batch,
         cache_hits: stats.cache_hits,
-        stage_us: stats.stage_us,
+        stage_us: stats.stage_us.map(|us| us.unwrap_or(0)),
         total_us,
     };
     state.ring.push(record);
@@ -888,18 +922,15 @@ fn handle_predict(
         return finish(meta, reply, &stats, action);
     }
 
-    // Child spans on this thread nest under the detached root.
-    let adopt = edge_obs::trace::adopt(meta.root.ctx());
     // The parse stage covers body parse, routing, entity resolution, and
     // cache probes; it ends at admission, where queue time takes over.
-    let parse_started = Instant::now();
-    let parse_span = edge_obs::span("serve.stage.parse");
+    // Its span nests under the detached root.
+    let ctx = meta.root.ctx();
+    let parse = StageGuard::start(&mut stats.stage_us[STAGE_PARSE], ctx, "serve.stage.parse");
     let body = match parse_predict_body(&req.body) {
         Ok(b) => b,
         Err(msg) => {
-            drop(parse_span);
-            drop(adopt);
-            stats.stage_us[STAGE_PARSE] = parse_started.elapsed().as_micros() as u64;
+            drop(parse);
             let body = simple_object(&[("error", "bad_request"), ("detail", &msg)]);
             return finish(meta, Reply::json(400, body), &stats, SloAction::Record(Vec::new()));
         }
@@ -913,9 +944,7 @@ fn handle_predict(
 
     // A request that arrived already out of budget is not worth resolving.
     if deadline.expired() {
-        drop(parse_span);
-        drop(adopt);
-        stats.stage_us[STAGE_PARSE] = parse_started.elapsed().as_micros() as u64;
+        drop(parse);
         edge_obs::counter!("serve.deadline.expired").inc(1);
         let reply = Reply::json(504, render_deadline_error());
         return finish(meta, reply, &stats, SloAction::Record(Vec::new()));
@@ -951,9 +980,7 @@ fn handle_predict(
         }
         match shard.brownout.mode() {
             mode @ (Mode::CacheOnly | Mode::Shed) => {
-                drop(parse_span);
-                drop(adopt);
-                stats.stage_us[STAGE_PARSE] = parse_started.elapsed().as_micros() as u64;
+                drop(parse);
                 let (reply, action) = browned_out_reply(state, mode, vec![s]);
                 return finish(meta, reply, &stats, action);
             }
@@ -982,14 +1009,11 @@ fn handle_predict(
 
     if seeds.is_empty() {
         // Everything answered inline: serialize and finish synchronously.
-        drop(parse_span);
-        stats.stage_us[STAGE_PARSE] = parse_started.elapsed().as_micros() as u64;
-        let serialize_started = Instant::now();
-        let serialize_span = edge_obs::span("serve.stage.serialize");
+        drop(parse);
+        let slot = &mut stats.stage_us[STAGE_SERIALIZE];
+        let serialize = StageGuard::start(slot, ctx, "serve.stage.serialize");
         let out = serialize_fragments(&mut fragments, body.single);
-        drop(serialize_span);
-        drop(adopt);
-        stats.stage_us[STAGE_SERIALIZE] = serialize_started.elapsed().as_micros() as u64;
+        drop(serialize);
         let reply = Reply::json(200, out);
         return finish(meta, reply, &stats, SloAction::Record(participants));
     }
@@ -1000,9 +1024,7 @@ fn handle_predict(
     // evict expired jobs), and that wait is queue time. Ending parse
     // first keeps the stages disjoint, so their sum never exceeds the
     // request's end-to-end latency.
-    drop(parse_span);
-    drop(adopt);
-    stats.stage_us[STAGE_PARSE] = parse_started.elapsed().as_micros() as u64;
+    drop(parse);
     let submitted = Instant::now();
     let token = *next_token;
     *next_token += 1;
@@ -1119,17 +1141,15 @@ fn resolve_inflight(state: &ServerState, mut flight: InFlight, timed_out: bool) 
                     flight.fragments[i] = Some(bytes);
                 }
                 let (queue_us, batch_us, inference_us) = flight.stages.load();
-                flight.stats.stage_us[STAGE_QUEUE] = queue_us;
-                flight.stats.stage_us[STAGE_BATCH] = batch_us;
-                flight.stats.stage_us[STAGE_INFERENCE] = inference_us;
-                let serialize_started = Instant::now();
-                let adopt = edge_obs::trace::adopt(flight.meta.root.ctx());
-                let serialize_span = edge_obs::span("serve.stage.serialize");
+                let stage_us = &mut flight.stats.stage_us;
+                stage_us[STAGE_QUEUE] = Some(queue_us);
+                stage_us[STAGE_BATCH] = Some(batch_us);
+                stage_us[STAGE_INFERENCE] = Some(inference_us);
+                let slot = &mut stage_us[STAGE_SERIALIZE];
+                let ctx = flight.meta.root.ctx();
+                let serialize = StageGuard::start(slot, ctx, "serve.stage.serialize");
                 let out = serialize_fragments(&mut flight.fragments, flight.single);
-                drop(serialize_span);
-                drop(adopt);
-                flight.stats.stage_us[STAGE_SERIALIZE] =
-                    serialize_started.elapsed().as_micros() as u64;
+                drop(serialize);
                 (Reply::json(200, out), SloAction::Record(flight.participants.clone()))
             }
         }
@@ -1628,4 +1648,32 @@ fn try_flush(conn: &mut Connection) -> bool {
     }
     let flushed = conn.slots.is_empty() && conn.write_pos == conn.write_buf.len();
     !(flushed && conn.close_after_flush)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_stage_that_ran_is_counted_even_at_zero_micros() {
+        let _lease = edge_obs::metrics_lease();
+        let cells: [Histogram; N_STAGES] = Default::default();
+        let hists: [&Histogram; N_STAGES] = std::array::from_fn(|i| &cells[i]);
+        let mut stats = PredictStats::default();
+        stats.stage_us[STAGE_PARSE] = Some(0);
+        stats.stage_us[STAGE_BATCH] = Some(0);
+        stats.stage_us[STAGE_INFERENCE] = Some(7);
+        record_stages(&hists, &stats);
+        let counts: Vec<u64> = cells.iter().map(Histogram::count).collect();
+        let mut expected = [0; N_STAGES];
+        for stage in [STAGE_PARSE, STAGE_BATCH, STAGE_INFERENCE] {
+            expected[stage] = 1;
+        }
+        assert_eq!(counts, expected, "ran stages count once each; the rest stay empty");
+
+        // A guard that ends at once still records its (zero) stage.
+        let mut slot = None;
+        drop(StageGuard::start(&mut slot, SpanContext::default(), "serve.stage.test"));
+        assert!(slot.is_some());
+    }
 }

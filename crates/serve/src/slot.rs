@@ -40,11 +40,11 @@ impl ModelSlot {
 
     /// Atomically replaces the served model from a saved artifact.
     ///
-    /// Verification happens *before* the swap: the container (magic,
-    /// per-section CRC64 for mapped artifacts, envelope CRC64 for legacy
-    /// ones) is checked by [`inspect_artifact`] and the payload by the
-    /// loader, so a torn or corrupt artifact leaves the old model serving
-    /// untouched. Returns the new generation.
+    /// Verification happens *before* the swap: the container (magic and
+    /// per-section CRC64) is checked by [`inspect_artifact`] and the payload
+    /// by the loader, which also refuses a legacy JSON envelope, so a torn,
+    /// corrupt or legacy artifact leaves the old model serving untouched.
+    /// Returns the new generation.
     pub fn reload_from(&self, path: &str) -> Result<u64, String> {
         edge_faults::check("serve.reload").map_err(|e| e.to_string())?;
         inspect_artifact(path).map_err(|e| format!("artifact rejected: {e}"))?;

@@ -1,23 +1,24 @@
-//! Cross-format serving parity: a server loading the zero-copy mapped
-//! artifact must answer byte-for-byte what a server loading the legacy
-//! JSON envelope answers (f32 artifacts are bit-identical by design), and
-//! the LSH cache tier with `cache_hamming_max = 0` must leave response
-//! bytes untouched.
+//! Artifact serving parity: a server loading the zero-copy mapped artifact
+//! must answer byte-for-byte what the in-memory trained model renders
+//! (f32 artifacts are bit-identical by design), a legacy JSON envelope is
+//! refused with a typed error, and the LSH cache tier with
+//! `cache_hamming_max = 0` must leave response bytes untouched.
 
 mod util;
 
-#[allow(deprecated)] // the parity baseline *is* the legacy loader
-use edge_core::{EdgeModel, PredictOptions, PredictRequest, Predictor};
+use edge_core::{PredictOptions, PredictRequest, Predictor};
 use edge_serve::{Client, ServeConfig, Server};
 
+/// A model the legacy writer saved in the JSON envelope.
+const LEGACY_FIXTURE: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/../core/tests/fixtures/legacy_v2_smoke.edge");
+
 /// The serve-level twin of the core byte-identity test: the mapped-format
-/// server's rendered predictions equal the legacy model's direct
-/// rendering, float bits included.
+/// server's rendered predictions equal the trained in-memory model's
+/// direct rendering, float bits included.
 #[test]
-fn mapped_server_matches_legacy_rendering_bit_for_bit() {
+fn mapped_server_matches_in_memory_model_bit_for_bit() {
     let w = util::world();
-    #[allow(deprecated)]
-    let legacy = EdgeModel::load(&w.legacy_path).expect("legacy load");
 
     let server = util::start_server(ServeConfig {
         cache_capacity: 0, // every text must go through the mmapped model
@@ -29,10 +30,11 @@ fn mapped_server_matches_legacy_rendering_bit_for_bit() {
     for text in util::covered_texts(16) {
         let resp = client.predict(&text).unwrap();
         assert_eq!(resp.status, 200);
-        let direct = legacy
+        let direct = w
+            .trained
             .locate(&PredictRequest::text(&text), &PredictOptions::default())
             .map(|r| edge_serve::json::render_response(&r))
-            .expect("legacy model covers the text");
+            .expect("trained model covers the text");
         assert_eq!(resp.body, direct, "bytes diverged for: {text}");
         compared += 1;
     }
@@ -55,6 +57,27 @@ fn first_request_after_mmap_cold_start_is_correct() {
     let resp = client.predict(&text).unwrap();
     assert_eq!(resp.status, 200);
     assert_eq!(resp.body, util::expected_fragment(&text));
+    server.shutdown();
+}
+
+/// A legacy envelope is refused, typed and without a panic, both at start
+/// and on `/reload` (422, old model keeps serving); the error names the
+/// upgrade command.
+#[test]
+fn legacy_envelope_is_refused_at_start_and_on_reload() {
+    let config = ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() };
+    let err = Server::start_from_artifact(LEGACY_FIXTURE, config).err().expect("refused");
+    assert!(err.contains("fsck --upgrade"), "{err}");
+
+    let server = util::start_server(ServeConfig::default());
+    let mut client = Client::connect(server.addr()).unwrap();
+    let body = format!("{{\"path\":{}}}", serde_json::to_string(LEGACY_FIXTURE).unwrap());
+    let resp = client.request("POST", "/reload", body.as_bytes()).unwrap();
+    assert_eq!(resp.status, 422, "{}", resp.text());
+    assert!(resp.text().contains("fsck --upgrade"), "{}", resp.text());
+    assert_eq!(server.generation(), 1, "a refused reload must not bump the generation");
+    let text = util::covered_texts(1).remove(0);
+    assert_eq!(client.predict(&text).unwrap().body, util::expected_fragment(&text));
     server.shutdown();
 }
 

@@ -15,9 +15,10 @@ pub struct TestWorld {
     /// Saved artifact (zero-copy mapped layout) both the server and
     /// direct-comparison models load.
     pub model_path: String,
-    /// The same model saved in the legacy JSON envelope, for parity tests.
+    /// The in-memory model the trainer returned, before any save: the
+    /// parity baseline for the artifact.
     #[allow(dead_code)] // not every test binary uses every fixture
-    pub legacy_path: String,
+    pub trained: EdgeModel,
     /// A direct handle on the same parameters (loaded from the artifact).
     pub model: EdgeModel,
     pub dataset: Dataset,
@@ -42,13 +43,10 @@ pub fn world() -> &'static TestWorld {
         let path =
             std::env::temp_dir().join(format!("edge_serve_test_{}.edgemap", std::process::id()));
         model.save_artifact(&path, QuantMode::None).expect("save");
-        let legacy =
-            std::env::temp_dir().join(format!("edge_serve_test_{}.model.json", std::process::id()));
-        #[allow(deprecated)] // parity suites compare against the old format
-        model.save(&legacy).expect("legacy save");
         let model_path = path.to_string_lossy().into_owned();
+        let trained = model;
         let model = EdgeModel::load_artifact(&model_path).expect("load");
-        TestWorld { model_path, legacy_path: legacy.to_string_lossy().into_owned(), model, dataset }
+        TestWorld { model_path, trained, model, dataset }
     })
 }
 

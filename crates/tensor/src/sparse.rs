@@ -234,10 +234,9 @@ impl CsrMatrix {
         // Kernel choice is captured here, on the submitting thread, so a
         // `with_scalar_kernels` override governs the whole parallel region.
         let use_simd = crate::simd::spmm_simd_active(m);
-        // One chunk per output row, exactly as the rayon-shim path chunked it
-        // (`par_chunks_mut(m)`), so partitioning cannot change results. The
-        // `edge_par` entry point performs no heap allocation on the serial
-        // path, keeping the train loop allocation-free at one thread.
+        // One chunk per output row, so partitioning cannot change results.
+        // The `edge_par` entry point performs no heap allocation on the
+        // serial path, keeping the train loop allocation-free at one thread.
         edge_par::parallel_for_chunks_mut(out.data_mut(), m, |r, out_row| {
             if use_simd {
                 let (cols, vals) = self.row_slices(r);

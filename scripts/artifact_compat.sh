@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Artifact compatibility gate: the legacy JSON envelope must stay readable,
-# `fsck --upgrade` must migrate it to the zero-copy mapped layout in place,
-# and a server loading the upgraded artifact must answer byte-for-byte what
-# the legacy-envelope server answered (f32 migration is lossless).
+# Artifact compatibility gate for models saved in the legacy JSON envelope
+# (the committed fixture crates/core/tests/fixtures/legacy_v2_smoke.edge,
+# written by the legacy-envelope writer of older releases from the corpus below):
+# serving refuses it and names the upgrade, `fsck` still reads it, and
+# `fsck --upgrade` migrates it in place to exactly the bytes `train` writes
+# for the same corpus today, which then serves.
 #
 # Usage: scripts/artifact_compat.sh
 set -euo pipefail
@@ -18,16 +20,19 @@ trap cleanup EXIT
 echo "== build =="
 cargo build --release -p edge-cli
 BIN=target/release/edge-cli
+cp crates/core/tests/fixtures/legacy_v2_smoke.edge "$WORKDIR/model.edge"
 
-echo "== train into the legacy JSON envelope =="
-$BIN generate --preset nyma --size smoke --seed 11 --out "$WORKDIR/corpus.json"
-$BIN train --data "$WORKDIR/corpus.json" --profile smoke --epochs 2 \
-    --format legacy --out "$WORKDIR/model.json"
-head -c 1 "$WORKDIR/model.json" | grep -q '{' || {
-    echo "--format legacy must write a JSON envelope"; exit 1; }
-$BIN fsck "$WORKDIR/model.json" | tee "$WORKDIR/fsck_legacy.txt"
+echo "== serving refuses the legacy envelope and names the upgrade =="
+if $BIN serve --model "$WORKDIR/model.edge" --addr 127.0.0.1:7982 2> "$WORKDIR/refused.txt"; then
+    echo "serve must refuse a legacy envelope"; exit 1
+fi
+grep -q "fsck --upgrade" "$WORKDIR/refused.txt" || {
+    echo "the refusal must name fsck --upgrade:"; cat "$WORKDIR/refused.txt"; exit 1; }
+
+echo "== fsck still reads the legacy envelope =="
+$BIN fsck "$WORKDIR/model.edge" | tee "$WORKDIR/fsck_legacy.txt"
 if grep -Eq "^  meta .* OK$" "$WORKDIR/fsck_legacy.txt"; then
-    echo "--format legacy must not write a section table"; exit 1
+    echo "a legacy envelope has no section table"; exit 1
 fi
 
 serve_and_capture() {
@@ -67,23 +72,21 @@ EOF
     [ -z "$SERVER_PID" ] || { echo "server did not drain"; exit 1; }
 }
 
-echo "== serve the legacy envelope and capture response bytes =="
-serve_and_capture "$WORKDIR/model.json" "$WORKDIR/legacy"
-
-echo "== fsck --upgrade migrates the envelope in place =="
-$BIN fsck "$WORKDIR/model.json" --upgrade | tee "$WORKDIR/fsck_upgraded.txt"
+echo "== fsck --upgrade writes exactly what train writes for the same corpus =="
+$BIN generate --preset nyma --size smoke --seed 11 --out "$WORKDIR/corpus.json"
+$BIN train --data "$WORKDIR/corpus.json" --profile smoke --epochs 2 \
+    --out "$WORKDIR/trained.edge"
+$BIN fsck "$WORKDIR/model.edge" --upgrade | tee "$WORKDIR/fsck_upgraded.txt"
 grep -Eq "^  meta .* OK$" "$WORKDIR/fsck_upgraded.txt" || {
     echo "upgraded artifact must carry a checked section table"; exit 1; }
-head -c 8 "$WORKDIR/model.json" | grep -q "EDGEMAP1" || {
-    echo "upgrade must rewrite to the mapped layout"; exit 1; }
+cmp "$WORKDIR/model.edge" "$WORKDIR/trained.edge" || {
+    echo "upgraded fixture differs from a fresh train of its corpus"; exit 1; }
 
-echo "== serve the upgraded artifact and compare byte-for-byte =="
-serve_and_capture "$WORKDIR/model.json" "$WORKDIR/upgraded"
-cmp "$WORKDIR/legacy.responses" "$WORKDIR/upgraded.responses" || {
-    echo "upgraded artifact changed served bytes"; exit 1; }
+echo "== serve the upgraded artifact =="
+serve_and_capture "$WORKDIR/model.edge" "$WORKDIR/upgraded"
 
 echo "== a quantizing upgrade to a separate path still serves =="
-$BIN fsck "$WORKDIR/model.json" --upgrade --quantize f16 \
+$BIN fsck "$WORKDIR/model.edge" --upgrade --quantize f16 \
     --out "$WORKDIR/model_f16.edgemap"
 # (buffered before grep: -q quitting early would EPIPE the fsck binary)
 $BIN fsck "$WORKDIR/model_f16.edgemap" > "$WORKDIR/fsck_f16.txt"
@@ -93,4 +96,4 @@ serve_and_capture "$WORKDIR/model_f16.edgemap" "$WORKDIR/f16"
 grep -q '"point"' "$WORKDIR/f16.responses" || {
     echo "f16 artifact answered no covered tweets"; exit 1; }
 
-echo "artifact compat OK: legacy == upgraded, byte for byte"
+echo "artifact compat OK: upgraded fixture == fresh train, byte for byte"

@@ -373,13 +373,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is valid UTF-8 by
-                    // construction: we came from &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or backslash in one
+                    // go. Both are ASCII, so the run ends on a character
+                    // boundary of the (valid UTF-8) input, and each byte is
+                    // validated once rather than once per character.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + run])
                         .map_err(|_| Error("invalid utf-8".into()))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -486,12 +491,20 @@ mod tests {
             Value::Str(s) => assert_eq!(s, "café 😀"),
             other => panic!("expected string, got {other:?}"),
         }
+        // Raw multi-byte runs interleaved with escapes.
+        let v: Value = from_str(r#""é\"ü\\ 😀\u00e9x""#).unwrap();
+        match v {
+            Value::Str(s) => assert_eq!(s, "é\"ü\\ 😀éx"),
+            other => panic!("expected string, got {other:?}"),
+        }
     }
 
     #[test]
     fn errors_report_position() {
         let err = from_str::<Value>("[1,2").unwrap_err();
         assert!(err.to_string().contains("array"));
+        let err = from_str::<Value>("\"abc é").unwrap_err();
+        assert!(err.to_string().contains("unterminated"));
     }
 
     #[test]
