@@ -7,7 +7,7 @@
 //!    declared bodies, malformed deadline headers: every outcome is a
 //!    typed status (400/413) or a clean close, never a wedge.
 //! 3. `slow-loris` — a byte-at-a-time writer is cut off by the read
-//!    budget instead of pinning a connection thread.
+//!    budget instead of holding its connection open indefinitely.
 //! 4. `stalled-reader` — a client that never reads its response does not
 //!    block other connections.
 //! 5. `worker-stall` — a `sleep` failpoint stalls an inference worker

@@ -435,9 +435,7 @@ pub fn run_edge_speedup(dataset: &Dataset, config: &EdgeConfig) -> EdgeSpeedup {
         (
             "scalar kernels",
             Box::new(|l: &str| {
-                edge_tensor::with_scalar_kernels(|| {
-                    edge_geo::with_scalar_kernels(|| run_edge_leg(dataset, config, l, &opts))
-                })
+                edge_par::with_scalar_kernels(|| run_edge_leg(dataset, config, l, &opts))
             }),
         ),
     ];
@@ -457,7 +455,7 @@ pub fn run_edge_speedup(dataset: &Dataset, config: &EdgeConfig) -> EdgeSpeedup {
         train_speedup: legs[0].train_secs / pooled_secs,
         arena_speedup: legs[1].train_secs / pooled_secs,
         simd_speedup: legs[3].train_secs / pooled_secs,
-        simd_active: edge_tensor::simd_active(),
+        simd_active: edge_par::simd_active(),
         legs,
     }
 }
@@ -540,9 +538,7 @@ fn best_iter_secs(budget: std::time::Duration, mut f: impl FnMut()) -> f64 {
 fn kernel_leg(work_per_iter: f64, mut run: impl FnMut()) -> KernelLeg {
     const BUDGET: std::time::Duration = std::time::Duration::from_millis(200);
     let simd_secs = best_iter_secs(BUDGET, &mut run);
-    let scalar_secs = edge_tensor::with_scalar_kernels(|| {
-        edge_geo::with_scalar_kernels(|| best_iter_secs(BUDGET, &mut run))
-    });
+    let scalar_secs = edge_par::with_scalar_kernels(|| best_iter_secs(BUDGET, &mut run));
     let simd = work_per_iter / simd_secs;
     let scalar = work_per_iter / scalar_secs;
     KernelLeg { simd, scalar, speedup: simd / scalar }
@@ -628,7 +624,7 @@ pub fn run_simd_kernel_bench() -> SimdKernelBench {
         });
 
         SimdKernelBench {
-            simd_active: edge_tensor::simd_active(),
+            simd_active: edge_par::simd_active(),
             matmul_gflops,
             spmm_gflops,
             haversine_mpairs,

@@ -734,7 +734,7 @@ impl EdgeModel {
     /// The normalized adjacency operator (persistence accessor). On an
     /// mmap-loaded model this materializes the section on first touch;
     /// `fsck` has already vouched for its parseability — the fallible
-    /// variant is [`Self::try_adjacency`], which the save paths use.
+    /// variant is the crate-private `try_adjacency`, which the save paths use.
     pub fn adjacency_matrix(&self) -> &Arc<CsrMatrix> {
         self.adjacency.get()
     }

@@ -1,17 +1,14 @@
-//! entity2vec substrate: skip-gram-with-negative-sampling embeddings and
-//! phrase2vec-style phrase detection, implemented from scratch (the paper
-//! uses gensim's word2vec, unavailable in Rust).
+//! entity2vec substrate: skip-gram-with-negative-sampling embeddings,
+//! implemented from scratch (the paper uses gensim's word2vec, unavailable
+//! in Rust).
 //!
-//! The EDGE pipeline composes these as: NER phrase tokens → (optional)
-//! bigram phrase merging → SGNS → per-entity semantic embeddings that seed
-//! the GCN diffusion.
+//! The EDGE pipeline composes these as: NER phrase tokens → SGNS →
+//! per-entity semantic embeddings that seed the GCN diffusion.
 
 pub mod embedding;
-pub mod phrases;
 pub mod sampler;
 pub mod sgns;
 
 pub use embedding::{cosine, Embedding};
-pub use phrases::PhraseDetector;
 pub use sampler::{keep_probability, NegativeTable};
 pub use sgns::{train_sgns, SgnsConfig};

@@ -23,61 +23,15 @@
 //! constant table. The final `asin` of the haversine stays scalar libm: it
 //! runs once per pair, after the vector passes have done the heavy lifting.
 //!
-//! Detection mirrors `edge-tensor`: one cached `is_x86_feature_detected!`
-//! probe, the same `EDGE_NO_SIMD` escape hatch (the two crates cannot share
-//! the cache — `edge-geo` does not depend on `edge-tensor` — but they read
-//! the same contract), and a thread-local [`with_scalar_kernels`] override
-//! for A/B tests. With SIMD off, every caller runs the untouched scalar
-//! code, byte-identical to the engine before this module existed.
-
-use std::sync::OnceLock;
+//! Detection is shared with `edge-tensor` through `edge-par`: one cached
+//! `is_x86_feature_detected!` probe, one `EDGE_NO_SIMD` escape hatch, and
+//! one scoped [`with_scalar_kernels`] override for A/B tests that pool
+//! workers inherit from the submitting thread. With SIMD off, every caller
+//! runs the untouched scalar code.
 
 use crate::point::Point;
 
-/// Process-wide availability: AVX2+FMA present and `EDGE_NO_SIMD` unset.
-pub fn simd_available() -> bool {
-    static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| {
-        match std::env::var("EDGE_NO_SIMD") {
-            Ok(v) if !v.is_empty() && v != "0" => return false,
-            _ => {}
-        }
-        detect()
-    })
-}
-
-#[cfg(target_arch = "x86_64")]
-fn detect() -> bool {
-    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect() -> bool {
-    false
-}
-
-thread_local! {
-    static FORCE_SCALAR: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// True when the vector kernels will actually run on this thread.
-pub fn simd_active() -> bool {
-    simd_available() && !FORCE_SCALAR.with(|f| f.get())
-}
-
-/// Runs `f` with the scalar geographic kernels, regardless of hardware —
-/// the per-thread analogue of `EDGE_NO_SIMD` used by the accuracy tests and
-/// the benchmark's scalar leg.
-pub fn with_scalar_kernels<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCE_SCALAR.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = FORCE_SCALAR.with(|c| Restore(c.replace(true)));
-    f()
-}
+pub use edge_par::{simd_active, simd_available, with_scalar_kernels};
 
 /// Haversine distances for a batch of `(predicted, truth)` pairs, in km.
 ///

@@ -11,6 +11,8 @@ use edge_geo::{with_scalar_kernels, BivariateGaussian, DistanceReport, GaussianM
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 fn arb_point() -> impl Strategy<Value = Point> {
     (-90.0f64..90.0, -180.0f64..180.0).prop_map(|(lat, lon)| Point::new(lat, lon))
@@ -148,4 +150,29 @@ fn scalar_override_is_bitwise_scalar() {
         assert_eq!(b.to_bits(), p.haversine_km(t).to_bits());
     }
     assert!(edge_geo::simd_available() || !edge_geo::simd_active());
+}
+
+/// The override reaches pool workers: items of a parallel region that a
+/// worker thread claims run the scalar kernels too, not just the items the
+/// submitting thread works itself.
+#[test]
+fn scalar_override_reaches_pool_workers() {
+    if !edge_geo::simd_available() {
+        return;
+    }
+    let vector_items = AtomicUsize::new(0);
+    with_scalar_kernels(|| {
+        edge_par::with_max_threads(4, || {
+            edge_par::parallel_for(256, |_| {
+                // Slow enough per item that parked workers wake and claim
+                // chunks before the submitter finishes them all.
+                std::thread::sleep(Duration::from_micros(200));
+                if edge_geo::simd_active() {
+                    vector_items.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        });
+    });
+    assert_eq!(vector_items.load(Ordering::Relaxed), 0, "items ran the vector kernels");
+    assert!(edge_geo::simd_active(), "the override ends with its scope");
 }

@@ -74,16 +74,6 @@ pub fn counts() -> AllocCounts {
     AllocCounts::default()
 }
 
-/// Publishes the current totals as `alloc.count` / `alloc.bytes` gauges (a
-/// no-op when the feature is off or metrics are disabled).
-pub fn publish_gauges() {
-    if active() {
-        let c = counts();
-        crate::gauge!("alloc.count").set(c.count as f64);
-        crate::gauge!("alloc.bytes").set(c.bytes as f64);
-    }
-}
-
 #[cfg(all(test, feature = "alloc-stats"))]
 mod tests {
     use super::*;

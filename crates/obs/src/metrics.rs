@@ -1,7 +1,7 @@
 //! Global metrics registry: counters, gauges, and log-scale histograms.
 //!
-//! Handles are `&'static` references to atomics; the [`counter!`],
-//! [`gauge!`], and [`histogram!`] macros cache the registry lookup in a
+//! Handles are `&'static` references to atomics; the [`counter!`](crate::counter!),
+//! [`gauge!`](crate::gauge!), and [`histogram!`](crate::histogram!) macros cache the registry lookup in a
 //! call-site `OnceLock`, so steady-state recording never touches a lock.
 
 use serde::Serialize;
@@ -246,20 +246,20 @@ fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::default)
 }
 
-/// Look up or create the counter `name`. Prefer the [`counter!`] macro, which
+/// Look up or create the counter `name`. Prefer the [`counter!`](crate::counter!) macro, which
 /// caches this lookup at the call site.
 pub fn counter(name: &'static str) -> &'static Counter {
     let mut map = registry().counters.lock().unwrap();
     map.entry(name).or_insert_with(|| Box::leak(Box::default()))
 }
 
-/// Look up or create the gauge `name`. Prefer the [`gauge!`] macro.
+/// Look up or create the gauge `name`. Prefer the [`gauge!`](crate::gauge!) macro.
 pub fn gauge(name: &'static str) -> &'static Gauge {
     let mut map = registry().gauges.lock().unwrap();
     map.entry(name).or_insert_with(|| Box::leak(Box::default()))
 }
 
-/// Look up or create the histogram `name`. Prefer the [`histogram!`] macro.
+/// Look up or create the histogram `name`. Prefer the [`histogram!`](crate::histogram!) macro.
 pub fn histogram(name: &'static str) -> &'static Histogram {
     let mut map = registry().histograms.lock().unwrap();
     map.entry(name).or_insert_with(|| Box::leak(Box::default()))
@@ -323,14 +323,6 @@ impl MetricsSnapshot {
     /// Value of one labeled counter cell (exact label match).
     pub fn labeled_counter(&self, family: &str, labels: &[(&str, &str)]) -> Option<u64> {
         self.counter_families
-            .iter()
-            .find(|f| f.name == family)
-            .and_then(|f| f.cells.iter().find(|c| label_match(&c.labels, labels)).map(|c| c.value))
-    }
-
-    /// Value of one labeled gauge cell (exact label match).
-    pub fn labeled_gauge(&self, family: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        self.gauge_families
             .iter()
             .find(|f| f.name == family)
             .and_then(|f| f.cells.iter().find(|c| label_match(&c.labels, labels)).map(|c| c.value))

@@ -23,6 +23,11 @@
 //!   [`set_num_threads`], e.g. from the CLI `--threads` flag) overrides the
 //!   detected hardware parallelism; [`with_max_threads`] scopes a cap (or a
 //!   raise, for tests) to the current thread.
+//! * **Kernel selection travels with the job.** The workspace's one SIMD
+//!   probe ([`simd_available`]) and its scoped scalar override
+//!   ([`with_scalar_kernels`]) live here, and a job carries the submitter's
+//!   override to every worker that claims a chunk of it, so [`simd_active`]
+//!   answers the same on every index of a region.
 //!
 //! Observability: `par.pool.jobs` / `par.pool.steals` counters and the
 //! `par.pool.queue_depth` / `par.pool.threads` gauges via `edge-obs`.
@@ -111,6 +116,68 @@ pub fn with_max_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 }
 
 // ---------------------------------------------------------------------------
+// Kernel selection
+// ---------------------------------------------------------------------------
+
+/// Whether the AVX2+FMA kernels are compiled in, supported by this CPU, and
+/// not disabled via `EDGE_NO_SIMD`. Detection runs once and is cached.
+pub fn simd_available() -> bool {
+    static AVAILABLE: OnceLock<bool> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| {
+        let disabled = std::env::var_os("EDGE_NO_SIMD").is_some_and(|v| !v.is_empty() && v != "0");
+        !disabled && detect_simd()
+    })
+}
+
+#[cfg(target_arch = "x86_64")]
+fn detect_simd() -> bool {
+    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn detect_simd() -> bool {
+    false
+}
+
+thread_local! {
+    /// Scalar-kernel override installed by [`with_scalar_kernels`], or
+    /// carried in from the submitter of the job this thread is working.
+    static FORCE_SCALAR: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the vector kernels run on this thread right now:
+/// [`simd_available`] minus the [`with_scalar_kernels`] override.
+#[inline]
+pub fn simd_active() -> bool {
+    simd_available() && !FORCE_SCALAR.with(Cell::get)
+}
+
+/// Runs `f` with the scalar reference kernels forced, regardless of
+/// hardware — the scoped analogue of `EDGE_NO_SIMD`. Parallel regions
+/// dispatched inside `f` inherit the override on every worker. Used by the
+/// scalar-vs-SIMD parity tests and the benchmark's scalar legs.
+pub fn with_scalar_kernels<R>(f: impl FnOnce() -> R) -> R {
+    let _restore = ScalarScope::enter(true);
+    f()
+}
+
+/// Sets this thread's scalar override and restores the previous value on
+/// drop (including unwinds).
+struct ScalarScope(bool);
+
+impl ScalarScope {
+    fn enter(force_scalar: bool) -> Self {
+        Self(FORCE_SCALAR.with(|c| c.replace(force_scalar)))
+    }
+}
+
+impl Drop for ScalarScope {
+    fn drop(&mut self) {
+        FORCE_SCALAR.with(|c| c.set(self.0));
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Jobs
 // ---------------------------------------------------------------------------
 
@@ -135,6 +202,9 @@ struct Job {
     /// pooled tasks parent to the submitting span and keep its request id
     /// instead of dangling as per-worker roots.
     ctx: Option<edge_obs::trace::SpanContext>,
+    /// The submitter's [`with_scalar_kernels`] override at dispatch; every
+    /// thread working the job runs its chunks under it.
+    force_scalar: bool,
     /// Next unclaimed index.
     next: AtomicUsize,
     /// Indices accounted for (executed, or discarded after a panic).
@@ -181,6 +251,7 @@ impl Job {
                     // job queued) until every index is accounted for.
                     let task = unsafe { &*self.task };
                     let _adopt = self.ctx.map(edge_obs::trace::adopt);
+                    let _kernels = ScalarScope::enter(self.force_scalar);
                     for i in lo..hi {
                         task(i);
                     }
@@ -335,6 +406,7 @@ pub fn parallel_for_grained<F: Fn(usize) + Sync>(count: usize, min_grain: usize,
     }
     edge_obs::counter!("par.pool.jobs").inc(1);
     let ctx = edge_obs::trace_enabled().then(edge_obs::trace::current_context);
+    let force_scalar = FORCE_SCALAR.with(Cell::get);
     let pool = pool();
     pool.ensure_workers(width - 1);
     let task_ref: &(dyn Fn(usize) + Sync) = &task;
@@ -351,6 +423,7 @@ pub fn parallel_for_grained<F: Fn(usize) + Sync>(count: usize, min_grain: usize,
         slot.count = count;
         slot.grain = grain;
         slot.ctx = ctx;
+        slot.force_scalar = force_scalar;
         slot.next = AtomicUsize::new(0);
         slot.done = AtomicUsize::new(0);
         slot.panicked = AtomicBool::new(false);
@@ -369,6 +442,7 @@ pub fn parallel_for_grained<F: Fn(usize) + Sync>(count: usize, min_grain: usize,
             count,
             grain,
             ctx,
+            force_scalar,
             next: AtomicUsize::new(0),
             done: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),

@@ -1,4 +1,4 @@
-//! The micro-batching scheduler: connection threads enqueue resolved
+//! The micro-batching scheduler: the event loops enqueue resolved
 //! texts into a bounded queue; one scheduler thread drains it in batches
 //! of up to `max_batch`, holding an under-full batch open for at most
 //! `max_delay_us` before flushing. Each popped batch fans out across the
@@ -77,35 +77,23 @@ impl StageCells {
     }
 }
 
-/// A connection thread's rendezvous for one `POST /predict`: the
-/// scheduler fills slots as batches complete; the handler blocks on
-/// [`Pending::wait`] until all of its texts are answered.
+/// The rendezvous for one `POST /predict`: the scheduler and workers
+/// fill slots as batches complete, and the last fragment runs the
+/// notifier, which wakes the event loop to collect [`Pending::try_results`].
 pub struct Pending {
     state: Mutex<PendingState>,
-    done: Condvar,
-    /// Ran once when the last fragment lands — how the event loop learns
-    /// (via its waker) that an async request is ready to serialize,
-    /// without any thread blocking in [`Pending::wait`].
-    notifier: Option<Box<dyn Fn() + Send + Sync>>,
+    /// Ran once when the last fragment lands.
+    notifier: Box<dyn Fn() + Send + Sync>,
 }
 
 /// Fragment slots plus the count still outstanding.
 type PendingState = (Vec<Option<Arc<Vec<u8>>>>, usize);
 
 impl Pending {
-    /// A pending response expecting `n` fragments.
-    pub fn new(n: usize) -> Self {
-        Self { state: Mutex::new((vec![None; n], n)), done: Condvar::new(), notifier: None }
-    }
-
-    /// [`Pending::new`] plus a completion callback, invoked exactly once
-    /// from whichever thread delivers the final fragment.
-    pub fn with_notifier(n: usize, notifier: impl Fn() + Send + Sync + 'static) -> Self {
-        Self {
-            state: Mutex::new((vec![None; n], n)),
-            done: Condvar::new(),
-            notifier: Some(Box::new(notifier)),
-        }
+    /// A pending response expecting `n` fragments; `notifier` is invoked
+    /// exactly once, from whichever thread delivers the final fragment.
+    pub fn new(n: usize, notifier: impl Fn() + Send + Sync + 'static) -> Self {
+        Self { state: Mutex::new((vec![None; n], n)), notifier: Box::new(notifier) }
     }
 
     /// Delivers fragment `i`. First delivery wins: a duplicate (a late
@@ -123,14 +111,10 @@ impl Pending {
             // a duplicate arriving after completion must not re-notify.
             newly_filled && state.1 == 0
         };
-        // Wake outside the lock; `wait` re-checks the count under it, so
-        // the early drop costs nothing and the notifier can take locks of
-        // its own without ordering against ours.
+        // Notify outside the lock, so the notifier can take locks of its
+        // own without ordering against ours.
         if completed {
-            self.done.notify_all();
-            if let Some(notifier) = &self.notifier {
-                notifier();
-            }
+            (self.notifier)();
         }
     }
 
@@ -143,29 +127,12 @@ impl Pending {
         }
         Some(state.0.iter().map(|slot| Arc::clone(slot.as_ref().expect("filled"))).collect())
     }
-
-    /// Blocks until every fragment arrived; `None` on timeout (scheduler
-    /// wedged — the handler turns this into a 500).
-    pub fn wait(&self, timeout: Duration) -> Option<Vec<Arc<Vec<u8>>>> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while state.1 > 0 {
-            let remaining = deadline.checked_duration_since(Instant::now())?;
-            let (s, timed_out) =
-                self.done.wait_timeout(state, remaining).unwrap_or_else(|e| e.into_inner());
-            state = s;
-            if timed_out.timed_out() && state.1 > 0 {
-                return None;
-            }
-        }
-        Some(state.0.iter().map(|slot| Arc::clone(slot.as_ref().expect("filled"))).collect())
-    }
 }
 
 /// The bounded admission queue. `try_submit` is all-or-nothing: either
 /// every text of a POST fits, or none are queued and the request is shed
-/// with 429 — a partial admission would block the handler forever on the
-/// texts that were dropped.
+/// with 429 — a partial admission would leave the request waiting on
+/// texts that were never queued until its wedge timeout.
 pub struct BatchQueue {
     inner: Mutex<VecDeque<Job>>,
     capacity: usize,
@@ -228,7 +195,7 @@ impl BatchQueue {
                 edge_obs::gauge!("serve.queue.depth").set(q.len() as f64);
             }
             evicted
-            // Lock dropped before fulfill wakes the waiting handlers.
+            // Lock dropped before fulfill runs the notifiers.
         };
         let n = evicted.len();
         if n > 0 {
@@ -383,8 +350,8 @@ fn dispatch(batch: &[Job], slot: &ModelSlot, cache: &ResponseCache) {
                 CacheKey { generation, entities: resolved[i].clone(), fallback: job.fallback };
             cache.insert(key, Arc::clone(&bytes));
         }
-        // Note the stage before fulfilling: fulfill wakes the handler,
-        // which reads the cells immediately.
+        // Note the stage before fulfilling: the last fulfill wakes the
+        // event loop, which reads the cells immediately.
         StageCells::note(&job.stages.inference, inference_started.elapsed().as_micros() as u64);
         job.pending.fulfill(job.index, bytes);
     });
@@ -396,26 +363,21 @@ mod tests {
 
     #[test]
     fn pending_collects_out_of_order_fragments() {
-        let p = Pending::new(3);
+        let p = pending(3);
         p.fulfill(2, Arc::new(b"c".to_vec()));
         p.fulfill(0, Arc::new(b"a".to_vec()));
+        assert!(p.try_results().is_none(), "one fragment still outstanding");
         p.fulfill(1, Arc::new(b"b".to_vec()));
-        let got = p.wait(Duration::from_secs(1)).unwrap();
+        let got = p.try_results().unwrap();
         let joined: Vec<u8> = got.iter().flat_map(|b| b.iter().copied()).collect();
         assert_eq!(joined, b"abc");
-    }
-
-    #[test]
-    fn pending_wait_times_out_when_unfulfilled() {
-        let p = Pending::new(1);
-        assert!(p.wait(Duration::from_millis(10)).is_none());
     }
 
     #[test]
     fn pending_notifier_fires_once_on_the_last_fragment() {
         let fired = Arc::new(AtomicU64::new(0));
         let seen = Arc::clone(&fired);
-        let p = Pending::with_notifier(2, move || {
+        let p = Pending::new(2, move || {
             seen.fetch_add(1, Ordering::SeqCst);
         });
         assert!(p.try_results().is_none());
@@ -430,6 +392,11 @@ mod tests {
         let got = p.try_results().unwrap();
         assert_eq!(&*got[0], b"a");
         assert_eq!(&*got[1], b"b");
+    }
+
+    /// A pending response whose completion nobody listens for.
+    fn pending(n: usize) -> Pending {
+        Pending::new(n, || {})
     }
 
     fn job(pending: &Arc<Pending>, index: usize) -> Job {
@@ -454,7 +421,7 @@ mod tests {
     #[test]
     fn submission_is_all_or_nothing() {
         let q = BatchQueue::new(3);
-        let p = Arc::new(Pending::new(4));
+        let p = Arc::new(pending(4));
         assert!(q.try_submit(vec![job(&p, 0), job(&p, 1)]));
         // Two queued + two more would exceed capacity 3: nothing admitted.
         assert!(!q.try_submit(vec![job(&p, 2), job(&p, 3)]));
@@ -467,7 +434,7 @@ mod tests {
     fn pop_batch_flushes_on_deadline_and_on_size() {
         let q = BatchQueue::new(16);
         let shutdown = || false;
-        let p = Arc::new(Pending::new(8));
+        let p = Arc::new(pending(8));
         q.try_submit((0..2).map(|i| job(&p, i)).collect());
         let started = Instant::now();
         let batch = q.pop_batch(8, Duration::from_millis(5), &shutdown).unwrap();
@@ -483,7 +450,7 @@ mod tests {
     fn expired_jobs_are_evicted_with_a_typed_fragment() {
         let _s = edge_faults::FailScenario::setup();
         let q = BatchQueue::new(16);
-        let p = Arc::new(Pending::new(2));
+        let p = Arc::new(pending(2));
         q.try_submit(vec![
             job_with_deadline(&p, 0, Deadline::after_us(1)),
             job_with_deadline(&p, 1, Deadline::none()),
@@ -492,9 +459,9 @@ mod tests {
         assert_eq!(q.evict_expired(), 1, "only the expired job goes");
         assert_eq!(q.depth(), 1, "the unbounded job stays queued");
         // The evicted slot resolved to the deadline fragment; fulfill the
-        // survivor so wait() returns.
+        // survivor so the response completes.
         p.fulfill(1, Arc::new(b"ok".to_vec()));
-        let got = p.wait(Duration::from_secs(1)).unwrap();
+        let got = p.try_results().unwrap();
         assert!(
             std::str::from_utf8(&got[0]).unwrap().contains("deadline_exceeded"),
             "{:?}",
@@ -508,16 +475,16 @@ mod tests {
         let _s = edge_faults::FailScenario::setup();
         edge_faults::configure("serve.queue.expire", "1*err").unwrap();
         let q = BatchQueue::new(16);
-        let p = Arc::new(Pending::new(2));
+        let p = Arc::new(pending(2));
         q.try_submit(vec![job(&p, 0), job(&p, 1)]);
         assert_eq!(q.evict_expired(), 2, "failpoint expires unbounded jobs too");
         assert_eq!(q.depth(), 0);
-        let got = p.wait(Duration::from_secs(1)).unwrap();
+        let got = p.try_results().unwrap();
         for frag in &got {
             assert!(std::str::from_utf8(frag).unwrap().contains("deadline_exceeded"));
         }
         // Failpoint exhausted: eviction is a no-op again.
-        q.try_submit(vec![job(&Arc::new(Pending::new(1)), 0)]);
+        q.try_submit(vec![job(&Arc::new(pending(1)), 0)]);
         assert_eq!(q.evict_expired(), 0);
     }
 
@@ -525,7 +492,7 @@ mod tests {
     fn shutdown_drains_the_queue_before_stopping() {
         let q = BatchQueue::new(16);
         let shutdown = || true;
-        let p = Arc::new(Pending::new(1));
+        let p = Arc::new(pending(1));
         q.try_submit(vec![job(&p, 0)]);
         // Shutdown already requested, but the queued job still comes out.
         let batch = q.pop_batch(8, Duration::from_millis(1), &shutdown).unwrap();

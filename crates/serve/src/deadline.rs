@@ -47,11 +47,6 @@ impl Deadline {
     pub fn remaining(&self) -> Option<Duration> {
         self.0.map(|t| t.saturating_duration_since(Instant::now()))
     }
-
-    /// The absolute expiry instant, if bounded.
-    pub fn at(&self) -> Option<Instant> {
-        self.0
-    }
 }
 
 #[cfg(test)]

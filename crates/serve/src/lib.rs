@@ -15,7 +15,7 @@
 //!
 //! Every response carries an `X-Request-Id` header (echoing the client's,
 //! if sent), and the same id tags every span the request produced — on the
-//! connection thread, the scheduler, and the `edge-par` workers — so one
+//! event loop, the scheduler, and the `edge-par` workers — so one
 //! request can be reconstructed end-to-end from the JSONL trace.
 //!
 //! ## Architecture

@@ -111,10 +111,6 @@ impl Router {
         Router { names, ring, union }
     }
 
-    pub fn shard_count(&self) -> usize {
-        self.names.len()
-    }
-
     pub fn shard_names(&self) -> &[String] {
         &self.names
     }

@@ -288,7 +288,7 @@ impl Server {
     }
 
     /// Loads the model from a saved mapped artifact (see
-    /// [`ModelArtifact::open`]), then starts.
+    /// [`edge_core::ModelArtifact::open`]), then starts.
     pub fn start_from_artifact(path: &str, config: ServeConfig) -> Result<Server, String> {
         let model = EdgeModel::load_artifact(path).map_err(|e| format!("loading {path}: {e}"))?;
         Server::start(model, config)
@@ -334,12 +334,6 @@ impl Server {
     /// Jobs currently waiting across every shard's batching queue.
     pub fn queue_depth(&self) -> usize {
         self.state.shards.iter().map(|s| s.queue.depth()).sum()
-    }
-
-    /// Current SLO rollup of shard 0 (what `/healthz` reports for a
-    /// single-shard server).
-    pub fn slo_status(&self) -> SloStatus {
-        self.state.shards[0].slo.status()
     }
 
     /// The brownout load-controller mode of shard 0 right now.
@@ -534,8 +528,8 @@ struct RequestMeta {
 
 /// The single exit point for every request: ends the root span, feeds
 /// the global and per-shard metric families and SLO trackers, pushes the
-/// debug-ring record, and advances the brownout controllers — the exact
-/// bookkeeping the blocking server did at the tail of `handle_request`.
+/// debug-ring record, and advances the brownout controllers, so every
+/// status (inline, completed or timed out) is accounted the same way.
 fn finish_request(
     state: &ServerState,
     meta: RequestMeta,
@@ -544,8 +538,8 @@ fn finish_request(
     action: SloAction,
 ) {
     let RequestMeta { started, request_id, endpoint, root } = meta;
-    // The root span ends before the total is measured, matching the
-    // blocking server's drop-then-measure order.
+    // The root span ends before the total is measured, so the request
+    // total covers the span's own recording.
     drop(root);
     let total_us = started.elapsed().as_micros() as u64;
     edge_obs::counter!("serve.requests").inc(1);
@@ -623,8 +617,7 @@ impl Reply {
     }
 }
 
-/// Frames a reply as wire bytes, stamping `X-Request-Id` like the
-/// blocking responder did.
+/// Frames a reply as wire bytes, stamping its `X-Request-Id`.
 fn to_wire(reply: &Reply, header_id: &str, keep_alive: bool) -> Vec<u8> {
     let mut headers: Vec<(&str, &str)> = Vec::with_capacity(reply.extra.len() + 1);
     headers.push(("X-Request-Id", header_id));
@@ -806,8 +799,8 @@ struct InFlight {
     conn: u64,
     pending: Arc<Pending>,
     deadline: Deadline,
-    /// When the loop gives up waiting (deadline-capped scheduler-wedge
-    /// bound — the async mirror of the blocking `pending.wait` limit).
+    /// When the loop gives up waiting: the request's deadline, capped by
+    /// the scheduler-wedge bound `PREDICT_TIMEOUT`.
     timeout_at: Instant,
     /// Per-text fragments; inline answers prefilled, seeds filled at
     /// completion.
@@ -1031,12 +1024,12 @@ fn handle_predict(
     // Completion path: the worker that fills the last fragment posts the
     // token to this loop's mailbox and wakes its epoll.
     let notify = Arc::clone(shared);
-    let pending = Arc::new(Pending::with_notifier(seeds.len(), move || {
+    let pending = Arc::new(Pending::new(seeds.len(), move || {
         notify.completions.lock().unwrap_or_else(|e| e.into_inner()).push(token);
         notify.waker.wake();
     }));
-    // One submit per shard, all-or-nothing within each shard's queue —
-    // identical to the blocking server for a single shard. If any shard
+    // One submit per shard, all-or-nothing within each shard's queue, so
+    // a single-shard request is admitted whole or not at all. If any shard
     // sheds, the whole request answers 429; fragments already admitted
     // elsewhere complete into an unregistered token and are ignored.
     let mut by_shard: HashMap<usize, Vec<Job>> = HashMap::new();
@@ -1110,8 +1103,8 @@ fn serialize_fragments(fragments: &mut [Option<Arc<Vec<u8>>>], single: bool) -> 
 }
 
 /// Resolves a completed (or timed-out) in-flight predict into wire
-/// bytes, running the same status ladder as the blocking server's
-/// post-`wait` tail.
+/// bytes: 504 past the deadline, 500 when the schedulers never answered,
+/// else the joined fragments.
 fn resolve_inflight(state: &ServerState, mut flight: InFlight, timed_out: bool) -> (u64, Vec<u8>) {
     let results = flight.pending.try_results();
     let (reply, action) = match results {
@@ -1538,8 +1531,9 @@ fn conn_readable(
                     let body = simple_object(&[("error", "bad_request")]);
                     respond_and_close(conn, 400, &body);
                 } else if conn.read_closed {
-                    // EOF mid-request: framing is gone, close silently
-                    // once the pipeline flushes (blocking parity).
+                    // EOF mid-request: framing is gone and no request
+                    // exists to answer, so close silently once the
+                    // pipeline flushes.
                     conn.stop_reading = true;
                     conn.close_after_flush = true;
                 }
@@ -1603,9 +1597,8 @@ fn conn_readable(
     }
 }
 
-/// Queues a parse-level error response (no request id was minted — the
-/// blocking server answered these outside `handle_request` too) and
-/// marks the connection for close.
+/// Queues a parse-level error response (no request was framed, so no
+/// request id is minted) and marks the connection for close.
 fn respond_and_close(conn: &mut Connection, status: u16, body: &[u8]) {
     let mut wire = Vec::with_capacity(body.len() + 128);
     let _ = write_response_with(&mut wire, status, "application/json", &[], body, false);

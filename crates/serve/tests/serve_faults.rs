@@ -33,8 +33,8 @@ fn full_queue_sheds_with_429() {
     edge_faults::configure("serve.dispatch.hold", "10000*err").unwrap();
     std::thread::sleep(Duration::from_millis(300));
 
-    // Fill the queue from background threads (their requests will block in
-    // Pending::wait until we release the scheduler).
+    // Fill the queue from a background client (its request stays in flight
+    // until we release the scheduler).
     let filler = {
         let texts = texts.clone();
         std::thread::spawn(move || {

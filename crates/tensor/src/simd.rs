@@ -6,10 +6,10 @@
 //!
 //! * **Detection, cached.** [`simd_available`] reads `EDGE_NO_SIMD` and
 //!   `is_x86_feature_detected!` exactly once per process. [`simd_active`]
-//!   additionally honors the per-thread [`with_scalar_kernels`] override the
-//!   parity tests sweep (mirroring `edge_par::with_max_threads`). Kernel
-//!   selection is captured on the submitting thread *before* pool dispatch,
-//!   so a thread-local override governs the whole parallel region.
+//!   additionally honors the scoped [`with_scalar_kernels`] override the
+//!   parity tests sweep (mirroring `edge_par::with_max_threads`). All three
+//!   live in `edge-par`, which carries the override to every pool worker of
+//!   a region; they are re-exported here under their historical paths.
 //! * **Determinism contract.** On the deterministic paths (dense matmul,
 //!   spmm) every output element accumulates in ascending-`k` / ascending-
 //!   entry order with *separate* mul and add — FMA would fuse the rounding
@@ -25,7 +25,6 @@
 //!   grown to its working-set size.
 
 use std::cell::Cell;
-use std::sync::OnceLock;
 
 /// Column width of one packed panel / register tile: two 8-lane AVX vectors.
 pub(crate) const TILE_COLS: usize = 16;
@@ -45,52 +44,7 @@ const MIN_SIMD_COLS: usize = 8;
 /// directly with strided (masked at the tail) loads.
 const PACK_MIN_ROWS: usize = 8;
 
-/// Whether the AVX2 kernels are compiled in, supported by this CPU, and not
-/// disabled via `EDGE_NO_SIMD`. Detection runs once and is cached.
-pub fn simd_available() -> bool {
-    static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| {
-        let disabled = std::env::var_os("EDGE_NO_SIMD").is_some_and(|v| !v.is_empty() && v != "0");
-        !disabled && detect()
-    })
-}
-
-#[cfg(target_arch = "x86_64")]
-fn detect() -> bool {
-    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect() -> bool {
-    false
-}
-
-thread_local! {
-    /// Per-thread scalar-kernel override installed by [`with_scalar_kernels`].
-    static FORCE_SCALAR: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the *next kernel dispatched from this thread* uses the AVX2 path:
-/// [`simd_available`] minus the [`with_scalar_kernels`] override.
-pub fn simd_active() -> bool {
-    simd_available() && !FORCE_SCALAR.with(Cell::get)
-}
-
-/// Runs `f` with the scalar reference kernels forced on this thread (nested
-/// parallel regions inherit the choice because kernel selection happens on
-/// the submitting thread). Used by the scalar-vs-SIMD parity tests and the
-/// `simd_vs_scalar` bench leg.
-pub fn with_scalar_kernels<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCE_SCALAR.with(|c| c.set(self.0));
-        }
-    }
-    let prev = FORCE_SCALAR.with(|c| c.replace(true));
-    let _restore = Restore(prev);
-    f()
-}
+pub use edge_par::{simd_active, simd_available, with_scalar_kernels};
 
 thread_local! {
     /// Reusable `B`-packing buffer. `Cell` take/put rather than `RefCell`: if

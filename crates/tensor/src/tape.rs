@@ -46,8 +46,7 @@ pub struct ParamId(pub usize);
 /// [`ParamStore::get_mut`], which is copy-on-write: it is in-place whenever
 /// no tape still holds the value (the train loop guarantees this by retiring
 /// the tape before the optimizer step). `clone()` is correspondingly shallow
-/// and copy-on-write; use [`ParamStore::deep_clone`] where an immediately
-/// independent copy is required (checkpoints).
+/// and copy-on-write.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ParamStore {
     mats: Vec<Arc<Matrix>>,
@@ -94,15 +93,6 @@ impl ParamStore {
         Arc::make_mut(&mut self.mats[id.0])
     }
 
-    /// A deep copy whose matrices share nothing with `self`, so later
-    /// in-place updates of either store cannot alias (checkpointing).
-    pub fn deep_clone(&self) -> ParamStore {
-        ParamStore {
-            mats: self.mats.iter().map(|m| Arc::new(Matrix::clone(m))).collect(),
-            names: self.names.clone(),
-        }
-    }
-
     /// The registered name of a parameter.
     pub fn name(&self, id: ParamId) -> &str {
         &self.names[id.0]
@@ -115,11 +105,6 @@ impl ParamStore {
             .zip(&self.names)
             .enumerate()
             .map(|(i, (m, n))| (ParamId(i), n.as_str(), &**m))
-    }
-
-    /// Total number of scalar parameters.
-    pub fn total_scalars(&self) -> usize {
-        self.mats.iter().map(|m| m.len()).sum()
     }
 }
 

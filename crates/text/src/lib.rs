@@ -13,7 +13,7 @@ pub mod token;
 pub mod vocab;
 
 pub use ner::{canonical_id, EntityCategory, EntityMention, EntityRecognizer};
-pub use ngram::{ngram_counts, ngrams};
+pub use ngram::ngrams;
 pub use stopwords::is_stopword;
 pub use token::{lower_words, tokenize, Token, TokenKind};
 pub use vocab::Vocab;

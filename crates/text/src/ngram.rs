@@ -2,8 +2,6 @@
 //! (Flatow et al.), which models the spatial distribution of *n-grams*
 //! rather than individual words.
 
-use std::collections::HashMap;
-
 /// Extracts all contiguous n-grams of sizes `1..=max_n` from `tokens`,
 /// joined with spaces. A tweet shorter than `n` simply yields no n-grams of
 /// that size.
@@ -19,20 +17,6 @@ pub fn ngrams(tokens: &[String], max_n: usize) -> Vec<String> {
         }
     }
     out
-}
-
-/// Counts n-grams across a corpus of token lists.
-pub fn ngram_counts<'a>(
-    corpus: impl IntoIterator<Item = &'a [String]>,
-    max_n: usize,
-) -> HashMap<String, u64> {
-    let mut counts = HashMap::new();
-    for tokens in corpus {
-        for g in ngrams(tokens, max_n) {
-            *counts.entry(g).or_insert(0) += 1;
-        }
-    }
-    counts
 }
 
 #[cfg(test)]
@@ -69,16 +53,5 @@ mod tests {
     #[should_panic(expected = "max_n")]
     fn zero_n_rejected() {
         let _ = ngrams(&[], 0);
-    }
-
-    #[test]
-    fn corpus_counts_accumulate() {
-        let t1 = toks(&["new", "york"]);
-        let t2 = toks(&["new", "york", "city"]);
-        let counts = ngram_counts([t1.as_slice(), t2.as_slice()], 2);
-        assert_eq!(counts["new york"], 2);
-        assert_eq!(counts["york city"], 1);
-        assert_eq!(counts["new"], 2);
-        assert_eq!(counts["city"], 1);
     }
 }

@@ -3,9 +3,10 @@
 //!
 //! Implements the slice of the proptest API the workspace's property tests
 //! use: the [`proptest!`] / [`prop_assert!`] / [`prop_assert_eq!`] macros,
-//! the [`Strategy`] trait with `prop_map`, range and tuple strategies,
-//! [`any`], `collection::vec`, and string strategies from a small regex-like
-//! pattern subset (`[a-z]{1,6}`-style classes and `\PC`).
+//! the [`Strategy`](strategy::Strategy) trait with `prop_map`, range and
+//! tuple strategies, [`any`](strategy::any), `collection::vec`, and string
+//! strategies from a small regex-like pattern subset (`[a-z]{1,6}`-style
+//! classes and `\PC`).
 //!
 //! Departures from upstream: cases are drawn from a deterministic per-test
 //! RNG (seeded from the test body's location), and there is **no shrinking**
