@@ -17,6 +17,10 @@
 //! On top of the classic legs, the event-loop/router stack gets its own
 //! measurements:
 //!
+//! - `lone_request` — one text per request on one connection, default
+//!   `max_batch`, cache off: the single-user case a work-conserving
+//!   scheduler must not make wait for company. CI gates its ring-median
+//!   queue wait.
 //! - `high_concurrency` — the server holds 10k+ idle keep-alive
 //!   connections (the epoll interest list, not threads, carries them)
 //!   while a foreground client drives batched predict traffic; latency
@@ -89,6 +93,16 @@ struct LegRecord {
     cache_hit_rate: f64,
     stage_median_us: StageMedians,
     per_shard: Vec<ShardStat>,
+}
+
+/// A single user against the default scheduler: nothing else is queued,
+/// so the queue wait is the scheduler's own handoff cost.
+#[derive(Serialize)]
+struct LoneRequest {
+    requests: usize,
+    p50_us: f64,
+    /// Ring median of the queue stage. CI gates this at <= 250.
+    queue_us: f64,
 }
 
 /// The warm batched leg rerun with the metrics layer on vs off.
@@ -171,6 +185,7 @@ struct ServeBenchOutput {
     robustness_overhead: RobustnessOverhead,
     router_overhead: RouterOverhead,
     multi_shard: LegRecord,
+    lone_request: LoneRequest,
     high_concurrency: HighConcurrency,
     quantization: Quantization,
 }
@@ -351,12 +366,8 @@ fn run_high_concurrency(model_path: &str, texts: &[String]) -> HighConcurrency {
         Err(e) => edge_obs::progress!("   nofile limit raise failed: {e}"),
     }
 
-    let config = ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        max_batch: BATCH,
-        max_delay_us: 200,
-        ..ServeConfig::default()
-    };
+    let config =
+        ServeConfig { addr: "127.0.0.1:0".to_string(), max_batch: BATCH, ..ServeConfig::default() };
     let server = Server::start_from_artifact(model_path, config).expect("server starts");
     let addr = server.addr();
 
@@ -550,7 +561,6 @@ fn main() {
     let warm = |max_batch: usize| ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         max_batch,
-        max_delay_us: 200,
         ..ServeConfig::default()
     };
     let cold = |max_batch: usize| ServeConfig { cache_capacity: 0, ..warm(max_batch) };
@@ -695,6 +705,20 @@ fn main() {
         multi_shard.per_shard.len()
     );
 
+    // One user, one text at a time, default batching, cache off.
+    let lone =
+        run_leg("lone-request", &single(cold(ServeConfig::default().max_batch)), &pool, 1, 600, 60);
+    let lone_request = LoneRequest {
+        requests: lone.requests,
+        p50_us: lone.p50_us,
+        queue_us: lone.stage_median_us.queue_us,
+    };
+    edge_obs::progress!(
+        "   lone-request    p50 {:>7.0} us, queue {:.0} us",
+        lone_request.p50_us,
+        lone_request.queue_us
+    );
+
     // 10k idle keep-alive connections under foreground traffic.
     let high_concurrency = run_high_concurrency(&model_path, &pool);
     edge_obs::progress!(
@@ -730,7 +754,7 @@ fn main() {
         })
         .collect();
     let text = format!(
-        "Serve bench ({size:?} scale): closed-loop POST /predict over real sockets\n{}{}\nobs overhead (warm batched, metrics on vs off): {:.2}%\nrobustness overhead (warm batched, deadlines+budgets+brownout on vs off): {:.2}%\nrouter overhead (warm batched, two-shard routed vs single-shard): {:.2}%\nmulti-shard: {:.0} texts/sec across {} shards\nhigh-concurrency: {} idle keep-alive conns held, p50 {:.0} us, p99 {:.0} us\n{}",
+        "Serve bench ({size:?} scale): closed-loop POST /predict over real sockets\n{}{}\nobs overhead (warm batched, metrics on vs off): {:.2}%\nrobustness overhead (warm batched, deadlines+budgets+brownout on vs off): {:.2}%\nrouter overhead (warm batched, two-shard routed vs single-shard): {:.2}%\nmulti-shard: {:.0} texts/sec across {} shards\nlone request (1 text, cache off): p50 {:.0} us, queue {:.0} us\nhigh-concurrency: {} idle keep-alive conns held, p50 {:.0} us, p99 {:.0} us\n{}",
         render_table(&legs, speedup),
         render_stage_table(&legs),
         obs_overhead.overhead_frac * 100.0,
@@ -738,6 +762,8 @@ fn main() {
         router_overhead.overhead_frac * 100.0,
         multi_shard.texts_per_sec,
         multi_shard.per_shard.len(),
+        lone_request.p50_us,
+        lone_request.queue_us,
         high_concurrency.connections_held,
         high_concurrency.p50_us,
         high_concurrency.p99_us,
@@ -755,6 +781,7 @@ fn main() {
         robustness_overhead,
         router_overhead,
         multi_shard,
+        lone_request,
         high_concurrency,
         quantization,
     };

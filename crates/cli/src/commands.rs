@@ -71,7 +71,6 @@ COMMANDS:
                  --replicas <n>                      (scheduler threads per shard;
                                                       default 1)
                  --max-batch <n>                     (default 32)
-                 --max-delay-us <n>                  (batching window; default 500)
                  --queue-capacity <n>                (shed beyond this, per shard;
                                                       default 256)
                  --cache-capacity <n>                (0 disables; default 4096)
@@ -514,11 +513,37 @@ pub fn profile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `edge-cli serve`: loads one model per `--model` (one shard per metro)
-/// and runs the event-loop HTTP server until SIGTERM drains it.
-pub fn serve(args: &[String]) -> Result<(), String> {
-    // `--model` is repeatable (one shard per metro); pre-extract every
-    // occurrence, since `parse_flags` keeps only the last repeat.
+/// Every flag `serve` accepts besides the repeatable `--model`.
+const SERVE_FLAGS: &[&str] = &[
+    "addr",
+    "event-loops",
+    "replicas",
+    "max-batch",
+    "queue-capacity",
+    "cache-capacity",
+    "cache-lsh-bits",
+    "cache-hamming-max",
+    "fallback-prior",
+    "threads",
+    "slo-p99-us",
+    "slo-max-shed-rate",
+    "slo-window-secs",
+    "ring-capacity",
+    "slow-request-us",
+    "default-deadline-us",
+    "max-body-bytes",
+    "brownout-p99-us",
+    "no-brownout",
+    "reload-breaker-threshold",
+    "reload-breaker-cooldown-secs",
+];
+
+/// Splits `serve`'s arguments into its `--model` specs (repeatable, in
+/// order) and the remaining flags, refusing any flag `serve` does not
+/// know so a stale one in a deploy script fails loudly.
+fn serve_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), String> {
+    // Pre-extract every `--model`, since `parse_flags` keeps only the
+    // last repeat.
     let mut models: Vec<String> = Vec::new();
     let mut rest: Vec<String> = Vec::new();
     let mut i = 0;
@@ -533,11 +558,17 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         }
     }
     let flags = parse_flags(&rest)?;
-    apply_threads(&flags)?;
+    if let Some(unknown) = flags.keys().find(|k| !SERVE_FLAGS.contains(&k.as_str())) {
+        return Err(format!("serve does not take --{unknown} (see edge-cli --help)"));
+    }
     if models.is_empty() {
         return Err("missing required --model".to_string());
     }
+    Ok((models, flags))
+}
 
+/// The server config `serve`'s flags describe.
+fn serve_config(flags: &HashMap<String, String>) -> Result<edge_serve::ServeConfig, String> {
     let mut config = edge_serve::ServeConfig { handle_signals: true, ..Default::default() };
     if let Some(addr) = flags.get("addr") {
         config.addr = addr.clone();
@@ -552,26 +583,34 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         }
         Ok(())
     }
-    numeric(&flags, "max-batch", &mut config.max_batch)?;
-    numeric(&flags, "max-delay-us", &mut config.max_delay_us)?;
-    numeric(&flags, "queue-capacity", &mut config.queue_capacity)?;
-    numeric(&flags, "cache-capacity", &mut config.cache_capacity)?;
-    numeric(&flags, "cache-lsh-bits", &mut config.cache_lsh_bits)?;
-    numeric(&flags, "cache-hamming-max", &mut config.cache_hamming_max)?;
-    numeric(&flags, "slo-p99-us", &mut config.slo_target_p99_us)?;
-    numeric(&flags, "slo-max-shed-rate", &mut config.slo_max_shed_rate)?;
-    numeric(&flags, "slo-window-secs", &mut config.slo_window_secs)?;
-    numeric(&flags, "ring-capacity", &mut config.ring_capacity)?;
-    numeric(&flags, "slow-request-us", &mut config.slow_request_us)?;
-    numeric(&flags, "default-deadline-us", &mut config.default_deadline_us)?;
-    numeric(&flags, "max-body-bytes", &mut config.max_body_bytes)?;
-    numeric(&flags, "brownout-p99-us", &mut config.brownout_p99_us)?;
-    numeric(&flags, "reload-breaker-threshold", &mut config.reload_breaker_threshold)?;
-    numeric(&flags, "reload-breaker-cooldown-secs", &mut config.reload_breaker_cooldown_secs)?;
-    numeric(&flags, "event-loops", &mut config.event_loops)?;
-    numeric(&flags, "replicas", &mut config.replicas)?;
+    numeric(flags, "max-batch", &mut config.max_batch)?;
+    numeric(flags, "queue-capacity", &mut config.queue_capacity)?;
+    numeric(flags, "cache-capacity", &mut config.cache_capacity)?;
+    numeric(flags, "cache-lsh-bits", &mut config.cache_lsh_bits)?;
+    numeric(flags, "cache-hamming-max", &mut config.cache_hamming_max)?;
+    numeric(flags, "slo-p99-us", &mut config.slo_target_p99_us)?;
+    numeric(flags, "slo-max-shed-rate", &mut config.slo_max_shed_rate)?;
+    numeric(flags, "slo-window-secs", &mut config.slo_window_secs)?;
+    numeric(flags, "ring-capacity", &mut config.ring_capacity)?;
+    numeric(flags, "slow-request-us", &mut config.slow_request_us)?;
+    numeric(flags, "default-deadline-us", &mut config.default_deadline_us)?;
+    numeric(flags, "max-body-bytes", &mut config.max_body_bytes)?;
+    numeric(flags, "brownout-p99-us", &mut config.brownout_p99_us)?;
+    numeric(flags, "reload-breaker-threshold", &mut config.reload_breaker_threshold)?;
+    numeric(flags, "reload-breaker-cooldown-secs", &mut config.reload_breaker_cooldown_secs)?;
+    numeric(flags, "event-loops", &mut config.event_loops)?;
+    numeric(flags, "replicas", &mut config.replicas)?;
     config.brownout_enabled = !flags.contains_key("no-brownout");
     config.fallback_prior = flags.contains_key("fallback-prior");
+    Ok(config)
+}
+
+/// `edge-cli serve`: loads one model per `--model` (one shard per metro)
+/// and runs the event-loop HTTP server until SIGTERM drains it.
+pub fn serve(args: &[String]) -> Result<(), String> {
+    let (models, flags) = serve_flags(args)?;
+    apply_threads(&flags)?;
+    let config = serve_config(&flags)?;
 
     // A bare path is the classic single-model server; any NAME=PATH spec
     // switches to the routed multi-shard form (all specs must then name
@@ -915,6 +954,55 @@ mod tests {
         assert_eq!(flags["resume"], "true");
         assert_eq!(flags["fallback-prior"], "true");
         assert_eq!(flags["checkpoint-dir"], "ck");
+    }
+
+    #[test]
+    fn serve_rejects_an_unknown_flag_by_name() {
+        let err = serve_flags(&strs(&["--model", "m.edge", "--max-delay-us", "500"])).unwrap_err();
+        assert!(err.contains("--max-delay-us"), "{err}");
+    }
+
+    #[test]
+    fn serve_accepts_every_flag_the_scripts_pass() {
+        let base = ["--model", "m.json", "--addr", "127.0.0.1:7979"];
+        let extras: &[&[&str]] = &[
+            &[],
+            &["--slow-request-us", "1"],
+            &["--slo-p99-us", "1"],
+            &["--default-deadline-us", "2000000", "--max-body-bytes", "65536"],
+            &["--cache-lsh-bits", "16", "--cache-hamming-max", "2"],
+        ];
+        for extra in extras {
+            let args: Vec<&str> = base.iter().chain(extra.iter()).copied().collect();
+            let (models, flags) = serve_flags(&strs(&args)).unwrap();
+            assert_eq!(models, ["m.json"]);
+            serve_config(&flags).unwrap();
+        }
+        let (models, flags) = serve_flags(&strs(&[
+            "--model",
+            "nyma=a.json",
+            "--model",
+            "lama=b.json",
+            "--addr",
+            "127.0.0.1:7980",
+        ]))
+        .unwrap();
+        assert_eq!(models, ["nyma=a.json", "lama=b.json"], "--model repeats, in order");
+        assert_eq!(serve_config(&flags).unwrap().addr, "127.0.0.1:7980");
+    }
+
+    #[test]
+    fn serve_accepts_every_flag_its_help_lists() {
+        let section = &USAGE[USAGE.find("    serve ").unwrap()..USAGE.find("    top ").unwrap()];
+        let mut listed: Vec<&str> = section
+            .split_whitespace()
+            .filter_map(|w| w.strip_prefix("--"))
+            .filter(|f| *f != "model")
+            .collect();
+        let mut known = SERVE_FLAGS.to_vec();
+        listed.sort_unstable();
+        known.sort_unstable();
+        assert_eq!(listed, known, "serve's help and its accepted flags differ");
     }
 
     #[test]

@@ -1,19 +1,22 @@
 //! The micro-batching scheduler: the event loops enqueue resolved
 //! texts into a bounded queue; one scheduler thread drains it in batches
-//! of up to `max_batch`, holding an under-full batch open for at most
-//! `max_delay_us` before flushing. Each popped batch fans out across the
+//! of up to `max_batch`. The scheduler is work-conserving: it never waits
+//! for a batch to fill, it takes whatever queued while the previous batch
+//! ran, so a lone text dispatches at once and batches grow with the
+//! backlog under load. Each popped batch fans out across the
 //! `edge-par` worker pool, one order-preserving model call per job, so
 //! responses are bit-identical to direct calls regardless of how texts
 //! were grouped — and each job carries its request's span context, so
 //! queue-wait, batch-assembly, and inference show up as stages of the
 //! originating request in both the trace and `/debug/requests`.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use edge_core::{PredictOptions, PredictRequest, Predictor};
+use edge_core::{PredictInput, PredictOptions, PredictRequest, Predictor};
 use edge_obs::trace;
 
 use crate::cache::{CacheKey, ResponseCache};
@@ -178,7 +181,8 @@ impl BatchQueue {
         let force = edge_faults::enabled() && edge_faults::fired("serve.queue.expire");
         let evicted: Vec<Job> = {
             let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            if q.is_empty() {
+            // The common case — nothing expired — leaves the queue as it is.
+            if !force && !q.iter().any(|job| job.deadline.expired()) {
                 return 0;
             }
             let mut kept = VecDeque::with_capacity(q.len());
@@ -208,18 +212,14 @@ impl BatchQueue {
         n
     }
 
-    /// Waits briefly for a first job, then keeps the batch open until it
-    /// holds `max_batch` jobs or `max_delay` elapsed since the first
-    /// arrival. Returns an empty batch when nothing arrived within the
-    /// idle window (so the caller's loop can observe failpoints and
-    /// shutdown between waits), and `None` only when shutting down with
-    /// an empty queue.
-    fn pop_batch(
-        &self,
-        max_batch: usize,
-        max_delay: Duration,
-        shutdown: &dyn Fn() -> bool,
-    ) -> Option<Vec<Job>> {
+    /// Waits briefly for a first job, then takes up to `max_batch` of
+    /// whatever is queued at once — it never holds a batch open for more
+    /// arrivals, so every job that queued while the previous batch ran
+    /// goes out in this one. Returns an empty batch when nothing arrived
+    /// within the idle window (so the caller's loop can observe
+    /// failpoints and shutdown between waits), and `None` only when
+    /// shutting down with an empty queue.
+    fn pop_batch(&self, max_batch: usize, shutdown: &dyn Fn() -> bool) -> Option<Vec<Job>> {
         let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if q.is_empty() {
             if shutdown() {
@@ -232,16 +232,6 @@ impl BatchQueue {
             q = guard;
             if q.is_empty() {
                 return if shutdown() { None } else { Some(Vec::new()) };
-            }
-        }
-        let deadline = Instant::now() + max_delay;
-        while q.len() < max_batch && !shutdown() {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else { break };
-            let (guard, timed_out) =
-                self.arrived.wait_timeout(q, remaining).unwrap_or_else(|e| e.into_inner());
-            q = guard;
-            if timed_out.timed_out() {
-                break;
             }
         }
         let take = q.len().min(max_batch);
@@ -259,7 +249,6 @@ pub fn run_scheduler(
     slot: &ModelSlot,
     cache: &ResponseCache,
     max_batch: usize,
-    max_delay: Duration,
     shutdown: impl Fn() -> bool,
     tick: impl Fn(),
 ) {
@@ -276,7 +265,7 @@ pub fn run_scheduler(
         }
         queue.evict_expired();
         tick();
-        let Some(batch) = queue.pop_batch(max_batch, max_delay, &shutdown) else { return };
+        let Some(batch) = queue.pop_batch(max_batch, &shutdown) else { return };
         if batch.is_empty() {
             continue;
         }
@@ -293,14 +282,15 @@ fn dispatch(batch: &[Job], slot: &ModelSlot, cache: &ResponseCache) {
 
     // Jobs resolved under an older generation re-resolve against the model
     // that will actually answer them (entity ids are not stable across
-    // models); their admission-time cache key is stale either way.
-    let resolved: Vec<Vec<usize>> = batch
+    // models); their admission-time cache key is stale either way. Current
+    // jobs lend their admission-time ids as they are.
+    let resolved: Vec<Cow<'_, [usize]>> = batch
         .iter()
         .map(|job| {
             if job.generation == generation {
-                job.entities.clone()
+                Cow::Borrowed(job.entities.as_slice())
             } else {
-                model.resolve_entities(&job.text)
+                Cow::Owned(model.resolve_entities(&job.text))
             }
         })
         .collect();
@@ -340,14 +330,15 @@ fn dispatch(batch: &[Job], slot: &ModelSlot, cache: &ResponseCache) {
         let inference_started = Instant::now();
         let _inf = edge_obs::span("serve.stage.inference");
         let opts = PredictOptions::default().with_fallback_prior(job.fallback);
-        let result = model.locate(&PredictRequest::entities(resolved[i].clone()), &opts);
+        // The one copy of the ids: the request owns it, then the cache key.
+        let request = PredictRequest::entities(resolved[i].to_vec());
+        let result = model.locate(&request, &opts);
         let bytes = Arc::new(match &result {
             Ok(resp) => render_response(resp),
             Err(err) => render_error(err),
         });
-        if result.is_ok() {
-            let key =
-                CacheKey { generation, entities: resolved[i].clone(), fallback: job.fallback };
+        if let (Ok(_), PredictInput::Entities(entities)) = (&result, request.input) {
+            let key = CacheKey { generation, entities, fallback: job.fallback };
             cache.insert(key, Arc::clone(&bytes));
         }
         // Note the stage before fulfilling: the last fulfill wakes the
@@ -431,19 +422,27 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_flushes_on_deadline_and_on_size() {
+    fn a_lone_job_pops_as_a_batch_of_one() {
         let q = BatchQueue::new(16);
-        let shutdown = || false;
-        let p = Arc::new(pending(8));
-        q.try_submit((0..2).map(|i| job(&p, i)).collect());
-        let started = Instant::now();
-        let batch = q.pop_batch(8, Duration::from_millis(5), &shutdown).unwrap();
-        assert_eq!(batch.len(), 2, "under-full batch flushes at the deadline");
-        assert!(started.elapsed() >= Duration::from_millis(4));
-        q.try_submit((0..8).map(|i| job(&p, i)).collect());
-        let batch = q.pop_batch(4, Duration::from_secs(5), &shutdown).unwrap();
-        assert_eq!(batch.len(), 4, "full batch flushes immediately");
-        assert_eq!(q.depth(), 4);
+        let p = Arc::new(pending(1));
+        q.try_submit(vec![job(&p, 0)]);
+        let batch = q.pop_batch(32, &|| false).unwrap();
+        assert_eq!(batch.len(), 1, "nothing holds an under-full batch open");
+        assert_eq!(q.depth(), 0);
+    }
+
+    #[test]
+    fn a_backlog_pops_in_max_batch_slices() {
+        let q = BatchQueue::new(64);
+        let p = Arc::new(pending(40));
+        q.try_submit((0..40).map(|i| job(&p, i)).collect());
+        let batch = q.pop_batch(32, &|| false).unwrap();
+        assert_eq!(batch.len(), 32, "a backlog fills the batch");
+        assert_eq!(batch[0].index, 0, "jobs pop in arrival order");
+        assert_eq!(q.depth(), 8);
+        let rest = q.pop_batch(32, &|| false).unwrap();
+        assert_eq!(rest.len(), 8);
+        assert_eq!(rest[0].index, 32);
     }
 
     #[test]
@@ -495,8 +494,8 @@ mod tests {
         let p = Arc::new(pending(1));
         q.try_submit(vec![job(&p, 0)]);
         // Shutdown already requested, but the queued job still comes out.
-        let batch = q.pop_batch(8, Duration::from_millis(1), &shutdown).unwrap();
+        let batch = q.pop_batch(8, &shutdown).unwrap();
         assert_eq!(batch.len(), 1);
-        assert!(q.pop_batch(8, Duration::from_millis(1), &shutdown).is_none());
+        assert!(q.pop_batch(8, &shutdown).is_none());
     }
 }

@@ -1,4 +1,4 @@
-//! A sharded LRU cache for rendered predictions, with an optional
+//! A sharded CLOCK cache for rendered predictions, with an optional
 //! approximate (LSH) tier.
 //!
 //! EDGE predictions are a pure function of the *resolved entity set* (the
@@ -33,9 +33,23 @@ pub struct CacheKey {
     pub fallback: bool,
 }
 
+/// One cached fragment in a shard's CLOCK ring.
+struct Slot {
+    key: CacheKey,
+    bytes: Arc<Vec<u8>>,
+    /// Set by a hit; the hand clears it and passes over the slot once
+    /// instead of evicting it.
+    visited: bool,
+}
+
+/// A CLOCK ring of at most `per_shard` slots plus the key → slot index.
+/// A full shard evicts at the hand: visited slots get a second chance
+/// (their bit cleared), the first unvisited one is replaced in place.
+#[derive(Default)]
 struct Shard {
-    map: HashMap<CacheKey, (u64, Arc<Vec<u8>>)>,
-    tick: u64,
+    map: HashMap<CacheKey, usize>,
+    slots: Vec<Slot>,
+    hand: usize,
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -84,11 +98,11 @@ struct LshRing {
     tick: u64,
 }
 
-/// Sharded LRU over rendered JSON fragments. Eviction is an O(shard)
-/// min-tick scan — shards stay small (capacity/shards entries), so the
-/// scan is cheaper than the bookkeeping of a linked LRU at this size.
-/// When `hamming_max > 0` a second, approximate tier answers exact-map
-/// misses by linear XOR+popcount scan over SimHash signatures.
+/// Sharded CLOCK cache over rendered JSON fragments: a hit sets its
+/// slot's visited bit, and a full shard evicts at its hand in amortized
+/// O(1) — the hand clears visited bits as it passes, so it stops within
+/// one sweep. When `hamming_max > 0` a second, approximate tier answers
+/// exact-map misses by linear XOR+popcount scan over SimHash signatures.
 pub struct ResponseCache {
     shards: Vec<Mutex<Shard>>,
     per_shard: usize,
@@ -109,9 +123,7 @@ impl ResponseCache {
         let shards = shards.max(1);
         let per_shard = capacity / shards;
         Self {
-            shards: (0..shards)
-                .map(|_| Mutex::new(Shard { map: HashMap::new(), tick: 0 }))
-                .collect(),
+            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard,
             lsh_bits: lsh_bits.min(64),
             hamming_max,
@@ -133,7 +145,7 @@ impl ResponseCache {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    /// Looks the key up, refreshing its recency on a hit. On an exact
+    /// Looks the key up, marking its slot visited on a hit. On an exact
     /// miss the approximate tier (when enabled) is consulted for the
     /// nearest signature within the Hamming budget.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<Vec<u8>>> {
@@ -142,11 +154,10 @@ impl ResponseCache {
         }
         {
             let mut shard = self.shard_of(key).lock().unwrap_or_else(|e| e.into_inner());
-            shard.tick += 1;
-            let tick = shard.tick;
-            if let Some((last, bytes)) = shard.map.get_mut(key) {
-                *last = tick;
-                let bytes = Arc::clone(bytes);
+            if let Some(&i) = shard.map.get(key) {
+                let slot = &mut shard.slots[i];
+                slot.visited = true;
+                let bytes = Arc::clone(&slot.bytes);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 edge_obs::counter!("serve.cache.hits").inc(1);
                 return Some(bytes);
@@ -193,36 +204,45 @@ impl ResponseCache {
         })
     }
 
-    /// Inserts a rendered fragment, evicting the least-recently-used entry
-    /// of the shard when full.
+    /// Inserts a rendered fragment. A key already cached has its bytes
+    /// replaced and counts as touched; a new key on a full shard replaces
+    /// the first unvisited slot at the CLOCK hand.
     pub fn insert(&self, key: CacheKey, bytes: Arc<Vec<u8>>) {
         if self.per_shard == 0 {
             return;
         }
-        let mut shard = self.shard_of(&key).lock().unwrap_or_else(|e| e.into_inner());
-        shard.tick += 1;
-        let tick = shard.tick;
-        if shard.map.len() >= self.per_shard && !shard.map.contains_key(&key) {
-            if let Some(oldest) =
-                shard.map.iter().min_by_key(|(_, (last, _))| *last).map(|(k, _)| k.clone())
-            {
-                shard.map.remove(&oldest);
+        let lsh = self
+            .lsh_enabled()
+            .then(|| (key.generation, key.fallback, simhash(&key.entities, self.lsh_bits)));
+        let mut guard = self.shard_of(&key).lock().unwrap_or_else(|e| e.into_inner());
+        let shard = &mut *guard;
+        if let Some(&i) = shard.map.get(&key) {
+            let slot = &mut shard.slots[i];
+            slot.bytes = Arc::clone(&bytes);
+            slot.visited = true;
+        } else if shard.slots.len() < self.per_shard {
+            shard.map.insert(key.clone(), shard.slots.len());
+            shard.slots.push(Slot { key, bytes: Arc::clone(&bytes), visited: false });
+        } else {
+            while std::mem::take(&mut shard.slots[shard.hand].visited) {
+                shard.hand = (shard.hand + 1) % shard.slots.len();
             }
+            let i = shard.hand;
+            shard.hand = (i + 1) % shard.slots.len();
+            shard.map.remove(&shard.slots[i].key);
+            shard.map.insert(key.clone(), i);
+            shard.slots[i] = Slot { key, bytes: Arc::clone(&bytes), visited: false };
         }
-        shard.map.insert(key.clone(), (tick, bytes.clone()));
-        drop(shard);
+        drop(guard);
 
-        if self.lsh_enabled() {
-            let signature = simhash(&key.entities, self.lsh_bits);
+        if let Some((generation, fallback, signature)) = lsh {
             let mut ring = self.lsh.lock().unwrap_or_else(|e| e.into_inner());
             ring.tick += 1;
             let tick = ring.tick;
             // Same (generation, fallback, signature) → overwrite in place;
             // otherwise LRU-evict once the ring reaches the cache capacity.
             if let Some(e) = ring.entries.iter_mut().find(|e| {
-                e.generation == key.generation
-                    && e.fallback == key.fallback
-                    && e.signature == signature
+                e.generation == generation && e.fallback == fallback && e.signature == signature
             }) {
                 e.tick = tick;
                 e.bytes = bytes;
@@ -236,13 +256,7 @@ impl ResponseCache {
                     ring.entries.swap_remove(oldest);
                 }
             }
-            ring.entries.push(LshEntry {
-                generation: key.generation,
-                fallback: key.fallback,
-                signature,
-                tick,
-                bytes,
-            });
+            ring.entries.push(LshEntry { generation, fallback, signature, tick, bytes });
         }
     }
 
@@ -251,7 +265,7 @@ impl ResponseCache {
     /// reclaims the memory immediately).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().unwrap_or_else(|e| e.into_inner()).map.clear();
+            *shard.lock().unwrap_or_else(|e| e.into_inner()) = Shard::default();
         }
         self.lsh.lock().unwrap_or_else(|e| e.into_inner()).entries.clear();
     }
@@ -307,6 +321,49 @@ mod tests {
         assert!(cache.get(&key(1)).is_some());
         assert!(cache.get(&key(2)).is_none());
         assert!(cache.get(&key(3)).is_some());
+    }
+
+    #[test]
+    fn a_retouched_entry_survives_one_full_sweep_of_the_hand() {
+        let cache = ResponseCache::new(4, 1, 0, 0);
+        for id in 1..=4 {
+            cache.insert(key(id), Arc::new(vec![id as u8]));
+        }
+        // Touched, key 1 gets a second chance; three new keys then sweep
+        // the hand past every other slot once.
+        assert!(cache.get(&key(1)).is_some());
+        for id in 5..=7 {
+            cache.insert(key(id), Arc::new(vec![id as u8]));
+        }
+        assert!(cache.get(&key(1)).is_some(), "the touched entry survived the sweep");
+        for id in 2..=4 {
+            assert!(cache.get(&key(id)).is_none(), "untouched key {id} was evicted");
+        }
+        // The sweep spent key 1's bit, but the probe above set it again:
+        // the next insert evicts the first untouched key at the hand, 5.
+        cache.insert(key(8), Arc::new(vec![8]));
+        assert!(cache.get(&key(1)).is_some());
+        assert!(cache.get(&key(5)).is_none());
+    }
+
+    #[test]
+    fn a_full_shard_never_grows_past_per_shard() {
+        let cache = ResponseCache::new(8, 1, 0, 0);
+        for round in 0..3 {
+            for id in 0..100 {
+                cache.insert(key(id), Arc::new(vec![round]));
+                if id % 3 == 0 {
+                    cache.get(&key(id / 2));
+                }
+                let shard = cache.shards[0].lock().unwrap();
+                assert!(shard.slots.len() <= 8, "ring grew to {}", shard.slots.len());
+                assert_eq!(shard.map.len(), shard.slots.len(), "index and ring agree");
+            }
+        }
+        let shard = cache.shards[0].lock().unwrap();
+        for (i, slot) in shard.slots.iter().enumerate() {
+            assert_eq!(shard.map[&slot.key], i, "every slot is indexed at its position");
+        }
     }
 
     #[test]

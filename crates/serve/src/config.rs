@@ -1,19 +1,17 @@
 //! Server configuration: the batching, backpressure, and cache knobs.
 
 /// Tunables for [`crate::Server`]. The defaults suit an interactive
-/// deployment: sub-millisecond batching delay, a queue deep enough to
-/// absorb bursts, and a cache sized for a few thousand distinct entity
-/// sets.
+/// deployment: batches of up to 32 texts taken from whatever queued while
+/// the previous batch ran (a lone text never waits for company), a queue
+/// deep enough to absorb bursts, and a cache sized for a few thousand
+/// distinct entity sets.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; use port 0 for an ephemeral port (tests, benches).
     pub addr: String,
-    /// Largest batch handed to the model in one `locate_batch` call.
-    /// 1 disables micro-batching (every text dispatched alone).
+    /// Largest batch the scheduler dispatches at once. 1 disables
+    /// micro-batching (every text dispatched alone).
     pub max_batch: usize,
-    /// How long the scheduler holds an under-full batch open waiting for
-    /// more texts before flushing it anyway.
-    pub max_delay_us: u64,
     /// Admission-queue capacity in texts. A `POST /predict` whose texts do
     /// not all fit is rejected with `429` (explicit shedding) rather than
     /// queued partially.
@@ -100,7 +98,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:7878".to_string(),
             max_batch: 32,
-            max_delay_us: 500,
             queue_capacity: 256,
             cache_capacity: 4096,
             cache_shards: 8,

@@ -391,15 +391,12 @@ impl Server {
 }
 
 fn scheduler_entry(state: Arc<ServerState>, shard_idx: usize) {
-    let max_batch = state.config.max_batch;
-    let max_delay = Duration::from_micros(state.config.max_delay_us);
     let shard = &state.shards[shard_idx];
     run_scheduler(
         &shard.queue,
         &shard.slot,
         &shard.cache,
-        max_batch,
-        max_delay,
+        state.config.max_batch,
         || state.draining(),
         || tick_brownout(&state, shard_idx),
     );

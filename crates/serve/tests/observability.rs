@@ -8,6 +8,7 @@
 mod util;
 
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 use edge_serve::{Client, ServeConfig};
 
@@ -163,18 +164,35 @@ fn metrics_expose_labeled_families_with_quantiles() {
 
 #[test]
 fn a_single_predict_trace_reconstructs_end_to_end() {
+    let _scenario = edge_faults::FailScenario::setup();
     edge_obs::set_trace_enabled(true);
     let server = util::start_server(ServeConfig {
         max_batch: 8,
-        // Hold the batch open ~20ms so scheduling noise (condvar wakeups,
-        // thread hops) is far below the 5% tolerance.
-        max_delay_us: 20_000,
         cache_capacity: 0,
         ..ServeConfig::default()
     });
-    let mut client = Client::connect(server.addr()).unwrap();
+    let addr = server.addr();
     let text = util::covered_texts(1).remove(0);
-    let resp = client.predict(&text).unwrap();
+
+    // Hold the request in the queue for ~20ms so scheduling noise (condvar
+    // wakeups, thread hops) is far below the 5% tolerance: park the
+    // scheduler at the dispatch-hold failpoint (it checks it between idle
+    // waits, every ~20ms), send, wait until the text is queued, then
+    // release after the hold.
+    edge_faults::configure("serve.dispatch.hold", "100000*err").unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    let request = {
+        let text = text.clone();
+        std::thread::spawn(move || Client::connect(addr).unwrap().predict(&text).unwrap())
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.queue_depth() < 1 {
+        assert!(Instant::now() < deadline, "the request never queued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    edge_faults::remove("serve.dispatch.hold");
+    let resp = request.join().unwrap();
     assert_eq!(resp.status, 200);
     let header = resp.header("x-request-id").expect("response carries X-Request-Id");
     let id: u64 = header.strip_prefix("req-").expect("minted id").parse().unwrap();

@@ -6,6 +6,7 @@ mod util;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use edge_core::{
     ArtifactLoad, EdgeConfig, EdgeModel, PredictOptions, PredictRequest, Predictor, QuantMode,
@@ -18,7 +19,6 @@ use edge_serve::{Client, ServeConfig};
 fn batched_responses_are_bit_identical_to_direct_calls() {
     let server = util::start_server(ServeConfig {
         max_batch: 8,
-        max_delay_us: 200,
         cache_capacity: 0, // cache off: every text must go through the model
         ..ServeConfig::default()
     });
@@ -91,7 +91,6 @@ fn abstentions_are_typed_in_the_batch_envelope() {
 fn concurrent_clients_get_unscrambled_answers() {
     let server = util::start_server(ServeConfig {
         max_batch: 16,
-        max_delay_us: 300,
         cache_capacity: 0,
         ..ServeConfig::default()
     });
@@ -259,13 +258,16 @@ fn reload_swaps_the_model_mid_traffic_and_rejects_corruption() {
 
 #[test]
 fn graceful_shutdown_answers_inflight_requests() {
-    let server = util::start_server(ServeConfig {
-        max_batch: 4,
-        max_delay_us: 50_000, // a long batching window to shut down into
-        ..ServeConfig::default()
-    });
+    let _scenario = edge_faults::FailScenario::setup();
+    let server = util::start_server(ServeConfig { max_batch: 4, ..ServeConfig::default() });
     let addr = server.addr();
     let text = util::covered_texts(1).remove(0);
+
+    // Hold the scheduler so the request stays queued: it observes the
+    // failpoint between idle waits (every ~20ms), so after a grace period
+    // it is parked in the hold loop and dispatches nothing.
+    edge_faults::configure("serve.dispatch.hold", "100000*err").unwrap();
+    std::thread::sleep(Duration::from_millis(100));
     let handle = {
         let text = text.clone();
         std::thread::spawn(move || {
@@ -273,9 +275,23 @@ fn graceful_shutdown_answers_inflight_requests() {
             client.predict(&text).unwrap()
         })
     };
-    // Let the request reach the queue, then drain.
-    std::thread::sleep(std::time::Duration::from_millis(100));
-    server.shutdown();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.queue_depth() < 1 {
+        assert!(Instant::now() < deadline, "the request never queued");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    // Begin the drain while the request is still queued (`shutdown` blocks
+    // until the scheduler exits, so it runs on its own thread), wait until
+    // the drain has closed the listener, then release the scheduler to
+    // answer the request.
+    let drain = std::thread::spawn(move || server.shutdown());
+    while std::net::TcpStream::connect(addr).is_ok() {
+        assert!(Instant::now() < deadline, "the drain never closed the listener");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    edge_faults::remove("serve.dispatch.hold");
+    drain.join().unwrap();
     let resp = handle.join().unwrap();
     assert_eq!(resp.status, 200, "queued request is answered during drain");
     assert_eq!(resp.body, util::expected_fragment(&text));
