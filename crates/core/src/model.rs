@@ -17,7 +17,7 @@ use edge_graph::{
 use edge_tensor::init::xavier_uniform;
 use edge_tensor::tape::{NodeId, ParamId, ParamStore, Tape};
 use edge_tensor::{Adam, CsrMatrix, Matrix, Optimizer, TapeArena};
-use edge_text::EntityRecognizer;
+use edge_text::{EntityRecognizer, MentionKind, Mentions, TokenScan};
 
 use crate::artifact::{LazyAdjacency, LazyFeatures, SmoothedStore};
 use crate::attention::{attention_aggregate, sum_aggregate};
@@ -135,11 +135,19 @@ impl TrainReport {
     }
 }
 
+/// Each of `ner`'s gazetteer phrases resolved to its entry in `index`.
+fn phrase_table(ner: &EntityRecognizer, index: &EntityIndex) -> Vec<Option<usize>> {
+    ner.phrase_table(|id| index.get(id))
+}
+
 /// The trained EDGE model.
 pub struct EdgeModel {
     config: EdgeConfig,
     ner: EntityRecognizer,
     index: EntityIndex,
+    /// `ner`'s gazetteer phrases resolved against `index` once, at build
+    /// or load (see [`EntityRecognizer::phrase_table`]).
+    phrases: Vec<Option<usize>>,
     /// Normalized adjacency; lazily materialized on mmap-loaded models
     /// (only re-saving or re-training ever touches it).
     adjacency: LazyAdjacency,
@@ -263,6 +271,7 @@ impl EdgeModel {
 
         let mut model = Self {
             config,
+            phrases: phrase_table(&ner, &e2v.index),
             ner,
             index: e2v.index,
             adjacency: LazyAdjacency::Ready(adjacency),
@@ -672,6 +681,7 @@ impl EdgeModel {
     ) -> Self {
         let mut model = Self {
             config,
+            phrases: phrase_table(&ner, &index),
             ner,
             index,
             adjacency: LazyAdjacency::Ready(adjacency),
@@ -711,6 +721,7 @@ impl EdgeModel {
     ) -> Self {
         Self {
             config,
+            phrases: phrase_table(&ner, &index),
             ner,
             index,
             adjacency,
@@ -799,20 +810,39 @@ impl EdgeModel {
         self.smoothed.row_to_vec(idx)
     }
 
-    /// The entity indices a tweet text resolves to (known entities only).
+    /// The entity indices a tweet text resolves to (known entities only),
+    /// sorted and distinct.
     pub fn resolve_entities(&self, text: &str) -> Vec<usize> {
-        let mut ids: Vec<usize> =
-            self.ner.recognize(text).into_iter().filter_map(|m| self.index.get(&m.id)).collect();
-        ids.sort_unstable();
-        ids.dedup();
+        let mut tokens = TokenScan::new();
+        tokens.scan(text);
+        let mut ids = Vec::new();
+        self.resolve_into(&tokens, &mut Mentions::new(), &mut ids);
+        ids
+    }
+
+    /// [`Self::resolve_entities`] over an already tokenized text, through
+    /// caller-owned buffers: runs this model's recognizer over `tokens`
+    /// into `mentions`, then leaves the sorted, distinct entity indices in
+    /// `out`. Allocation-free once the buffers are warm.
+    pub fn resolve_into(&self, tokens: &TokenScan, mentions: &mut Mentions, out: &mut Vec<usize>) {
+        self.ner.scan(tokens, mentions);
+        out.clear();
+        for (i, span) in mentions.spans().iter().enumerate() {
+            let idx = match span.kind {
+                MentionKind::Phrase(node) => self.phrases[node as usize],
+                _ => self.index.get(mentions.id(i)),
+            };
+            out.extend(idx);
+        }
+        out.sort_unstable();
+        out.dedup();
         edge_obs::counter!("core.ner.resolve.calls").inc(1);
-        if ids.is_empty() {
+        if out.is_empty() {
             // The tweet mentions no entity present in the training graph —
             // the coverage gap the paper excludes (and the quantity the
             // `evaluate` miss rate reports).
             edge_obs::counter!("core.ner.resolve.misses").inc(1);
         }
-        ids
     }
 
     /// Predicts one request without batching plumbing: resolves entities

@@ -18,12 +18,14 @@
 //! fallback policy always match exactly — approximation never crosses a
 //! model reload.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// What uniquely determines a rendered prediction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheKey {
     /// Model generation the entry was computed under.
     pub generation: u64,
@@ -31,6 +33,60 @@ pub struct CacheKey {
     pub entities: Vec<usize>,
     /// Whether the zero-entity prior fallback was in effect.
     pub fallback: bool,
+}
+
+/// A key's parts, owned or borrowed. The shard maps are keyed by
+/// [`CacheKey`] but probed through `dyn KeyView`, so a lookup borrows the
+/// caller's entity slice instead of building an owned key.
+trait KeyView {
+    fn parts(&self) -> (u64, &[usize], bool);
+}
+
+impl KeyView for CacheKey {
+    fn parts(&self) -> (u64, &[usize], bool) {
+        (self.generation, &self.entities, self.fallback)
+    }
+}
+
+/// A borrowed key: what a probe passes.
+struct KeyRef<'a> {
+    generation: u64,
+    entities: &'a [usize],
+    fallback: bool,
+}
+
+impl KeyView for KeyRef<'_> {
+    fn parts(&self) -> (u64, &[usize], bool) {
+        (self.generation, self.entities, self.fallback)
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for CacheKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+/// Hashes its parts like `dyn KeyView` does, so owned and borrowed keys
+/// agree.
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
 }
 
 /// One cached fragment in a shard's CLOCK ring.
@@ -138,8 +194,7 @@ impl ResponseCache {
         self.hamming_max > 0 && self.lsh_bits > 0 && self.per_shard > 0
     }
 
-    fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
-        use std::hash::{Hash, Hasher};
+    fn shard_of<K: Hash + ?Sized>(&self, key: &K) -> &Mutex<Shard> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % self.shards.len()]
@@ -149,6 +204,25 @@ impl ResponseCache {
     /// miss the approximate tier (when enabled) is consulted for the
     /// nearest signature within the Hamming budget.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<Vec<u8>>> {
+        self.lookup(key)
+    }
+
+    /// [`Self::get`] without an owned key: probes with the caller's
+    /// entity slice, so a hit allocates nothing.
+    pub fn probe(
+        &self,
+        generation: u64,
+        entities: &[usize],
+        fallback: bool,
+    ) -> Option<Arc<Vec<u8>>> {
+        self.lookup(&KeyRef { generation, entities, fallback } as &dyn KeyView)
+    }
+
+    fn lookup<K>(&self, key: &K) -> Option<Arc<Vec<u8>>>
+    where
+        K: KeyView + Hash + Eq + ?Sized,
+        CacheKey: Borrow<K>,
+    {
         if self.per_shard == 0 {
             return None;
         }
@@ -164,7 +238,7 @@ impl ResponseCache {
             }
         }
         if self.lsh_enabled() {
-            if let Some(bytes) = self.lsh_get(key) {
+            if let Some(bytes) = self.lsh_get(key.parts()) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.lsh_hits.fetch_add(1, Ordering::Relaxed);
                 edge_obs::counter!("serve.cache.hits").inc(1);
@@ -180,14 +254,17 @@ impl ResponseCache {
     /// Scans the approximate tier for the signature nearest to `key`'s
     /// within `hamming_max`, most recent on ties. O(ring), one popcount
     /// per entry.
-    fn lsh_get(&self, key: &CacheKey) -> Option<Arc<Vec<u8>>> {
-        let sig = simhash(&key.entities, self.lsh_bits);
+    fn lsh_get(
+        &self,
+        (generation, entities, fallback): (u64, &[usize], bool),
+    ) -> Option<Arc<Vec<u8>>> {
+        let sig = simhash(entities, self.lsh_bits);
         let mut ring = self.lsh.lock().unwrap_or_else(|e| e.into_inner());
         ring.tick += 1;
         let tick = ring.tick;
         let mut best: Option<(u32, u64, usize)> = None;
         for (i, e) in ring.entries.iter().enumerate() {
-            if e.generation != key.generation || e.fallback != key.fallback {
+            if e.generation != generation || e.fallback != fallback {
                 continue;
             }
             let d = (e.signature ^ sig).count_ones();
@@ -214,7 +291,8 @@ impl ResponseCache {
         let lsh = self
             .lsh_enabled()
             .then(|| (key.generation, key.fallback, simhash(&key.entities, self.lsh_bits)));
-        let mut guard = self.shard_of(&key).lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard =
+            self.shard_of(&key as &dyn KeyView).lock().unwrap_or_else(|e| e.into_inner());
         let shard = &mut *guard;
         if let Some(&i) = shard.map.get(&key) {
             let slot = &mut shard.slots[i];
@@ -300,6 +378,21 @@ mod tests {
         cache.clear();
         assert!(cache.get(&key(1)).is_none());
         assert_eq!(cache.stats(), (1, 2));
+    }
+
+    #[test]
+    fn a_borrowed_probe_finds_what_get_finds() {
+        let cache = ResponseCache::new(64, 4, 0, 0);
+        for id in 0..32 {
+            cache.insert(key(id), Arc::new(vec![id as u8]));
+        }
+        for id in 0..32 {
+            let got = cache.probe(1, &[id], false).expect("hit");
+            assert_eq!(got, cache.get(&key(id)).unwrap());
+        }
+        assert!(cache.probe(2, &[0], false).is_none());
+        assert!(cache.probe(1, &[0], true).is_none());
+        assert!(cache.probe(1, &[0, 1], false).is_none());
     }
 
     #[test]

@@ -92,6 +92,6 @@ pub use cache::{CacheKey, ResponseCache};
 pub use client::{Client, RetryPolicy};
 pub use config::ServeConfig;
 pub use deadline::Deadline;
-pub use router::{HashRing, Router};
+pub use router::{HashRing, Router, TextScratch};
 pub use server::Server;
 pub use slot::ModelSlot;

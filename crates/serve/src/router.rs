@@ -4,23 +4,29 @@
 //! response-cache partition, SLO/brownout state) loaded from its own
 //! artifact (`--model NAME=PATH`, repeatable). Routing is two-tier:
 //!
-//! 1. **Affinity.** A union recognizer (every shard's gazetteer merged)
-//!    extracts the tweet's entity mentions once; each shard's affinity is
-//!    how many of those mentions its *current* entity index knows. A
-//!    unique argmax with positive affinity wins — a tweet about Broadway
-//!    goes to the shard whose diffusion graph actually contains Broadway.
+//! 1. **Affinity.** A union recognizer (every shard's gazetteer merged
+//!    into one phrase trie) scans the tweet's tokens; each shard's
+//!    affinity is how many of those mentions its *current* entity index
+//!    knows. A unique argmax with positive affinity wins — a tweet about
+//!    Broadway goes to the shard whose diffusion graph actually contains
+//!    Broadway.
 //! 2. **Consistent hash.** Ties (including the no-known-entity case)
 //!    fall through to a vnode hash ring keyed on the sorted canonical
 //!    mention ids (or the raw text when no mentions at all), so equal
 //!    entity sets always land on the same shard and adding/removing a
 //!    shard only remaps the keys that shard owns.
 //!
-//! With one shard the router short-circuits to shard 0 without touching
-//! the recognizer, so the single-model path stays bit-and-cost-identical
-//! to the pre-router server.
+//! [`Router::route_resolve`] is the server's per-text path: it tokenizes
+//! the text once into a [`TextScratch`], routes on the union view, then
+//! resolves with the chosen shard's own recognizer over the same tokens
+//! (the two views can segment a text differently when a longer phrase is
+//! known only to another shard), all in reused buffers. With one shard
+//! the router short-circuits to shard 0 without running the union
+//! recognizer, so the single-model path pays only its own resolution.
 
 use edge_core::model::EdgeModel;
-use edge_text::ner::EntityRecognizer;
+use edge_text::ner::{EntityRecognizer, Mentions};
+use edge_text::TokenScan;
 use std::sync::Arc;
 
 /// 64-bit FNV-1a with a splitmix64 finalizer. Stable and
@@ -81,7 +87,35 @@ impl HashRing {
 pub fn entity_set_key(mention_ids: &mut Vec<String>) -> u64 {
     mention_ids.sort_unstable();
     mention_ids.dedup();
-    fnv1a(mention_ids.join("\u{1f}").as_bytes())
+    fnv1a(mention_ids.join(KEY_SEP).as_bytes())
+}
+
+/// Separator between the ids of a ring key (see [`entity_set_key`]).
+const KEY_SEP: &str = "\u{1f}";
+
+/// Reusable per-text buffers of the routed path: one tokenization, the
+/// mentions of whichever recognizer ran last over it, the ring key bytes
+/// and the resolved entity ids. Once warm, routing and resolving a text
+/// through them allocates nothing. The server keeps one per event loop.
+#[derive(Debug, Default)]
+pub struct TextScratch {
+    tokens: TokenScan,
+    mentions: Mentions,
+    order: Vec<usize>,
+    key: Vec<u8>,
+    entities: Vec<usize>,
+}
+
+impl TextScratch {
+    pub fn new() -> TextScratch {
+        TextScratch::default()
+    }
+
+    /// The entity ids the last [`Router::route_resolve`] left: the owning
+    /// shard's `resolve_entities` of the text, sorted and distinct.
+    pub fn entities(&self) -> &[usize] {
+        &self.entities
+    }
 }
 
 /// The routing half of the serving stack: shard names, the merged
@@ -122,16 +156,48 @@ impl Router {
     /// Routes one tweet given every shard's current model (fetched once
     /// per request by the caller, index-aligned with the shard list).
     pub fn route_text(&self, text: &str, models: &[Arc<EdgeModel>]) -> usize {
+        if self.union.is_none() {
+            return 0;
+        }
+        let mut scratch = TextScratch::new();
+        scratch.tokens.scan(text);
+        self.route_scanned(text, models, &mut scratch)
+    }
+
+    /// Routes one tweet and resolves it on the shard it routes to, leaving
+    /// the entity ids in [`TextScratch::entities`]: the same shard as
+    /// [`Self::route_text`] and the same ids as that shard's
+    /// `resolve_entities`, from one tokenization.
+    pub fn route_resolve(
+        &self,
+        text: &str,
+        models: &[Arc<EdgeModel>],
+        scratch: &mut TextScratch,
+    ) -> usize {
+        scratch.tokens.scan(text);
+        let s = self.route_scanned(text, models, scratch);
+        models[s].resolve_into(&scratch.tokens, &mut scratch.mentions, &mut scratch.entities);
+        s
+    }
+
+    fn route_scanned(
+        &self,
+        text: &str,
+        models: &[Arc<EdgeModel>],
+        scratch: &mut TextScratch,
+    ) -> usize {
         let Some(union) = &self.union else { return 0 };
-        let mentions = union.recognize(text);
+        let TextScratch { tokens, mentions, order, key, .. } = scratch;
+        union.scan(tokens, mentions);
         // Affinity: how many recognized mentions each shard's entity
         // index can actually serve.
         let mut best = 0usize;
         let mut best_count = 0usize;
         let mut tied = true;
         for (idx, model) in models.iter().enumerate() {
+            let index = model.entity_index();
             let count =
-                mentions.iter().filter(|m| model.entity_index().get(&m.id).is_some()).count();
+                (0..mentions.len()).filter(|&i| index.get(mentions.id(i)).is_some()).count();
             if count > best_count {
                 best = idx;
                 best_count = count;
@@ -141,16 +207,28 @@ impl Router {
             }
         }
         if best_count > 0 && !tied {
+            edge_obs::counter!("serve.route.affinity").inc(1);
             return best;
         }
-        // Tie or no known entity: deterministic consistent hash.
-        let key = if mentions.is_empty() {
+        // Tie or no known entity: deterministic consistent hash over the
+        // bytes `entity_set_key` hashes (mention ids are already distinct).
+        edge_obs::counter!("serve.route.ring").inc(1);
+        let hash = if mentions.is_empty() {
             fnv1a(text.as_bytes())
         } else {
-            let mut ids: Vec<String> = mentions.into_iter().map(|m| m.id).collect();
-            entity_set_key(&mut ids)
+            order.clear();
+            order.extend(0..mentions.len());
+            order.sort_unstable_by(|&a, &b| mentions.id(a).cmp(mentions.id(b)));
+            key.clear();
+            for (k, &i) in order.iter().enumerate() {
+                if k > 0 {
+                    key.extend_from_slice(KEY_SEP.as_bytes());
+                }
+                key.extend_from_slice(mentions.id(i).as_bytes());
+            }
+            fnv1a(key)
         };
-        self.ring.route(key)
+        self.ring.route(hash)
     }
 }
 

@@ -31,7 +31,7 @@ use edge_obs::{Histogram, RequestRing, SloConfig, SloStatus, SloTracker, SpanGua
 use crate::batch::{run_scheduler, BatchQueue, Job, Pending, StageCells};
 use crate::breaker::CircuitBreaker;
 use crate::brownout::{BrownoutConfig, LoadController, Mode};
-use crate::cache::{CacheKey, ResponseCache};
+use crate::cache::ResponseCache;
 use crate::config::ServeConfig;
 use crate::deadline::Deadline;
 use crate::http::{parse_buffered, write_response_with, ParseStatus, ReadLimits, Request};
@@ -47,7 +47,7 @@ use crate::reactor::{
     self, event_buffer, interest_rw, Poller, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT,
     EPOLLRDHUP,
 };
-use crate::router::Router;
+use crate::router::{Router, TextScratch};
 use crate::slot::ModelSlot;
 
 /// How long an admitted predict may wait on the scheduler before the
@@ -790,6 +790,25 @@ fn handle_reload(req: &Request, state: &ServerState) -> Reply {
 // Predict: routed, admitted on the loop thread, completed asynchronously.
 // ---------------------------------------------------------------------------
 
+/// What one event loop owns across requests.
+struct LoopLocal {
+    /// Admitted predicts, by pending token.
+    inflight: HashMap<u64, InFlight>,
+    /// Monotonic, never reused: connection and in-flight tokens share the
+    /// space, so a stale completion can never alias a live connection.
+    next_token: u64,
+    /// Per-text buffers of the routed path, reused by every predict.
+    scratch: TextScratch,
+}
+
+impl LoopLocal {
+    fn next_token(&mut self) -> u64 {
+        let token = self.next_token;
+        self.next_token += 1;
+        token
+    }
+}
+
 /// An admitted predict waiting for its shard schedulers, owned by the
 /// event loop that parsed it.
 struct InFlight {
@@ -832,12 +851,10 @@ enum Outcome {
 
 /// Parses, routes, and either answers or admits one request. Runs on the
 /// event-loop thread; never blocks.
-#[allow(clippy::too_many_arguments)]
 fn dispatch_request(
     state: &ServerState,
     shared: &Arc<LoopShared>,
-    inflight: &mut HashMap<u64, InFlight>,
-    next_token: &mut u64,
+    local: &mut LoopLocal,
     conn_token: u64,
     req: Request,
     keep_alive: bool,
@@ -865,8 +882,7 @@ fn dispatch_request(
 
     if let ("POST", "predict") = (req.method.as_str(), endpoint) {
         return handle_predict(
-            state, shared, inflight, next_token, conn_token, &req, meta, deadline, header_id,
-            keep_alive,
+            state, shared, local, conn_token, &req, meta, deadline, header_id, keep_alive,
         );
     }
     let reply = match (req.method.as_str(), endpoint) {
@@ -886,8 +902,7 @@ fn dispatch_request(
 fn handle_predict(
     state: &ServerState,
     shared: &Arc<LoopShared>,
-    inflight: &mut HashMap<u64, InFlight>,
-    next_token: &mut u64,
+    local: &mut LoopLocal,
     conn_token: u64,
     req: &Request,
     meta: RequestMeta,
@@ -950,19 +965,18 @@ fn handle_predict(
     let mut participants: Vec<usize> = Vec::new();
     let mut degraded_prior: HashMap<usize, Arc<Vec<u8>>> = HashMap::new();
     for (i, text) in body.texts.iter().enumerate() {
-        let s = state.router.route_text(text, &models);
+        let s = state.router.route_resolve(text, &models, &mut local.scratch);
         let shard = &state.shards[s];
         shard.cells.texts.inc(1);
         participants.push(s);
         let (model, generation) = (&models[s], snapshots[s].1);
-        let entities = model.resolve_entities(text);
+        let entities = local.scratch.entities();
         if entities.is_empty() && !fallback {
             fragments[i] = Some(Arc::new(render_error(&edge_core::PredictError::NoEntities)));
             batch_path_counter(false).inc(1);
             continue;
         }
-        let key = CacheKey { generation, entities: entities.clone(), fallback };
-        if let Some(bytes) = shard.cache.get(&key) {
+        if let Some(bytes) = shard.cache.probe(generation, entities, fallback) {
             fragments[i] = Some(bytes);
             stats.cache_hits += 1;
             batch_path_counter(false).inc(1);
@@ -992,7 +1006,7 @@ fn handle_predict(
             }
             Mode::Full => {
                 batch_path_counter(true).inc(1);
-                seeds.push((i, s, entities));
+                seeds.push((i, s, entities.to_vec()));
             }
         }
     }
@@ -1016,8 +1030,7 @@ fn handle_predict(
     // request's end-to-end latency.
     drop(parse);
     let submitted = Instant::now();
-    let token = *next_token;
-    *next_token += 1;
+    let token = local.next_token();
     // Completion path: the worker that fills the last fragment posts the
     // token to this loop's mailbox and wakes its epoll.
     let notify = Arc::clone(shared);
@@ -1059,7 +1072,7 @@ fn handle_predict(
         Some(remaining) => remaining.min(PREDICT_TIMEOUT),
         None => PREDICT_TIMEOUT,
     };
-    inflight.insert(
+    local.inflight.insert(
         token,
         InFlight {
             conn: conn_token,
@@ -1222,10 +1235,8 @@ fn event_loop(loop_idx: usize, listener: Option<TcpListener>, state: Arc<ServerS
     let _ = poller.add(shared.waker.fd(), TOKEN_WAKER, EPOLLIN);
 
     let mut conns: HashMap<u64, Connection> = HashMap::new();
-    let mut inflight: HashMap<u64, InFlight> = HashMap::new();
-    // Monotonic, never reused: connection and in-flight tokens share the
-    // space, so a stale completion can never alias a live connection.
-    let mut next_token: u64 = 2;
+    let mut local =
+        LoopLocal { inflight: HashMap::new(), next_token: 2, scratch: TextScratch::new() };
     let mut events = event_buffer(256);
     let mut drain_deadline: Option<Instant> = None;
 
@@ -1254,14 +1265,14 @@ fn event_loop(loop_idx: usize, listener: Option<TcpListener>, state: Arc<ServerS
                     conn.close_after_flush = true;
                 }
             }
-            if (conns.is_empty() && inflight.is_empty())
+            if (conns.is_empty() && local.inflight.is_empty())
                 || drain_deadline.is_some_and(|d| Instant::now() >= d)
             {
                 return;
             }
         }
 
-        let timed = !inflight.is_empty() || conns.values().any(Connection::timed);
+        let timed = !local.inflight.is_empty() || conns.values().any(Connection::timed);
         let timeout_ms = if draining {
             10
         } else if timed {
@@ -1280,9 +1291,8 @@ fn event_loop(loop_idx: usize, listener: Option<TcpListener>, state: Arc<ServerS
                     listener.as_ref(),
                     loop_idx,
                     &mut conns,
-                    &mut next_token,
                     &shared,
-                    &mut inflight,
+                    &mut local,
                 ),
                 TOKEN_WAKER => shared.waker.drain(),
                 token => {
@@ -1291,15 +1301,7 @@ fn event_loop(loop_idx: usize, listener: Option<TcpListener>, state: Arc<ServerS
                         continue;
                     }
                     if bits & (EPOLLIN | EPOLLRDHUP) != 0 {
-                        conn_readable(
-                            &state,
-                            &poller,
-                            &shared,
-                            &mut conns,
-                            &mut inflight,
-                            &mut next_token,
-                            token,
-                        );
+                        conn_readable(&state, &poller, &shared, &mut conns, &mut local, token);
                     }
                     if bits & EPOLLOUT != 0 {
                         if let Some(conn) = conns.get_mut(&token) {
@@ -1319,15 +1321,7 @@ fn event_loop(loop_idx: usize, listener: Option<TcpListener>, state: Arc<ServerS
             if state.draining() {
                 continue; // dropped: refusing new work mid-drain
             }
-            register_conn(
-                &state,
-                &poller,
-                &shared,
-                &mut conns,
-                &mut inflight,
-                &mut next_token,
-                stream,
-            );
+            register_conn(&state, &poller, &shared, &mut conns, &mut local, stream);
         }
 
         // Completed async predicts.
@@ -1337,7 +1331,7 @@ fn event_loop(loop_idx: usize, listener: Option<TcpListener>, state: Arc<ServerS
             // Unknown tokens are fine: a 429'd request's stray fragments
             // (other-shard submits that preceded the failing one), or a
             // predict the timeout tick already resolved.
-            if let Some(flight) = inflight.remove(&token) {
+            if let Some(flight) = local.inflight.remove(&token) {
                 let (conn_token, wire) = resolve_inflight(&state, flight, false);
                 deliver(&poller, &mut conns, conn_token, token, wire);
             }
@@ -1346,9 +1340,9 @@ fn event_loop(loop_idx: usize, listener: Option<TcpListener>, state: Arc<ServerS
         // Timed bounds: in-flight waits, read budgets, write stalls.
         let now = Instant::now();
         let expired: Vec<u64> =
-            inflight.iter().filter(|(_, f)| now >= f.timeout_at).map(|(&t, _)| t).collect();
+            local.inflight.iter().filter(|(_, f)| now >= f.timeout_at).map(|(&t, _)| t).collect();
         for token in expired {
-            let Some(flight) = inflight.remove(&token) else { continue };
+            let Some(flight) = local.inflight.remove(&token) else { continue };
             let (conn_token, wire) = resolve_inflight(&state, flight, true);
             deliver(&poller, &mut conns, conn_token, token, wire);
         }
@@ -1377,16 +1371,14 @@ fn event_loop(loop_idx: usize, listener: Option<TcpListener>, state: Arc<ServerS
 
 /// Accepts until the listener would block, handing connections off
 /// round-robin across the loop pool.
-#[allow(clippy::too_many_arguments)]
 fn accept_ready(
     state: &Arc<ServerState>,
     poller: &Poller,
     listener: Option<&TcpListener>,
     loop_idx: usize,
     conns: &mut HashMap<u64, Connection>,
-    next_token: &mut u64,
     shared: &Arc<LoopShared>,
-    inflight: &mut HashMap<u64, InFlight>,
+    local: &mut LoopLocal,
 ) {
     let Some(listener) = listener else { return };
     loop {
@@ -1402,7 +1394,7 @@ fn accept_ready(
                 }
                 let target = state.next_loop.fetch_add(1, Ordering::Relaxed) % state.loops.len();
                 if target == loop_idx {
-                    register_conn(state, poller, shared, conns, inflight, next_token, stream);
+                    register_conn(state, poller, shared, conns, local, stream);
                 } else {
                     state.loops[target]
                         .incoming
@@ -1425,21 +1417,19 @@ fn register_conn(
     poller: &Poller,
     shared: &Arc<LoopShared>,
     conns: &mut HashMap<u64, Connection>,
-    inflight: &mut HashMap<u64, InFlight>,
-    next_token: &mut u64,
+    local: &mut LoopLocal,
     stream: TcpStream,
 ) {
     if stream.set_nonblocking(true).is_err() {
         return;
     }
     let _ = stream.set_nodelay(true);
-    let token = *next_token;
-    *next_token += 1;
+    let token = local.next_token();
     if poller.add(stream.as_raw_fd(), token, interest_rw()).is_err() {
         return;
     }
     conns.insert(token, Connection::new(stream));
-    conn_readable(state, poller, shared, conns, inflight, next_token, token);
+    conn_readable(state, poller, shared, conns, local, token);
 }
 
 /// Removes and drops a connection (closing its fd). Any in-flight
@@ -1478,8 +1468,7 @@ fn conn_readable(
     poller: &Poller,
     shared: &Arc<LoopShared>,
     conns: &mut HashMap<u64, Connection>,
-    inflight: &mut HashMap<u64, InFlight>,
-    next_token: &mut u64,
+    local: &mut LoopLocal,
     token: u64,
 ) {
     let Some(conn) = conns.get_mut(&token) else { return };
@@ -1546,8 +1535,7 @@ fn conn_readable(
                     conn.stop_reading = true;
                     conn.close_after_flush = true;
                 }
-                match dispatch_request(state, shared, inflight, next_token, token, req, keep_alive)
-                {
+                match dispatch_request(state, shared, local, token, req, keep_alive) {
                     Outcome::Ready(wire) => {
                         // Re-borrow: dispatch had exclusive use of the maps.
                         let Some(conn) = conns.get_mut(&token) else { return };

@@ -252,3 +252,49 @@ fn a_single_predict_trace_reconstructs_end_to_end() {
     let parsed = edge_obs::trace::parse_jsonl(&edge_obs::trace::dump_jsonl()).unwrap();
     assert!(parsed.iter().any(|r| r.request == id && r.name == "serve.request"));
 }
+
+/// On a two-shard server every predict text is one routing decision
+/// (`serve_route_affinity` or `serve_route_ring`) and at least one entity
+/// resolution. This is the only multi-shard server in this binary, so
+/// the routing counters move by exactly the texts it routed.
+#[test]
+fn routed_texts_count_one_routing_decision_and_a_resolution_each() {
+    use edge_core::{ArtifactLoad, EdgeModel};
+    let load = |path: &str| EdgeModel::load_artifact(path).expect("load");
+    let shards = vec![
+        ("nyma".to_string(), load(&util::world().model_path)),
+        ("lama".to_string(), load(&util::lama_world().model_path)),
+    ];
+    let config = ServeConfig { addr: "127.0.0.1:0".to_string(), ..ServeConfig::default() };
+    let server = edge_serve::Server::start_shards(shards, config).expect("server starts");
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut texts = util::covered_texts(6);
+    texts.extend(util::lama_texts(6));
+    texts.push("nothing to see here".to_string());
+
+    let scrape = |client: &mut Client| {
+        let metrics = client.request("GET", "/metrics", b"").unwrap();
+        let scrape = edge_obs::openmetrics::parse(metrics.text()).expect("strict parse");
+        let value = |name: &str| scrape.value(name, &[]).unwrap_or(0.0);
+        (
+            value("serve_route_affinity_total"),
+            value("serve_route_ring_total"),
+            value("core_ner_resolve_calls_total"),
+        )
+    };
+    let before = scrape(&mut client);
+    let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+    assert_eq!(client.predict_batch(&refs).unwrap().status, 200);
+    for text in &texts {
+        client.predict(text).unwrap();
+    }
+    let after = scrape(&mut client);
+
+    let n = 2.0 * texts.len() as f64;
+    let (affinity, ring) = (after.0 - before.0, after.1 - before.1);
+    assert_eq!(affinity + ring, n, "one routing decision per text");
+    assert!(affinity > 0.0, "covered metro texts route by affinity");
+    assert!(ring > 0.0, "a text without mentions falls through to the ring");
+    assert!(after.2 - before.2 >= n, "every routed text resolved on its shard");
+    server.shutdown();
+}

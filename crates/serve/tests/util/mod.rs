@@ -8,7 +8,7 @@ use edge_core::{
     ArtifactLoad, EdgeConfig, EdgeModel, PredictOptions, PredictRequest, Predictor, QuantMode,
     TrainOptions,
 };
-use edge_data::{dataset_recognizer, nyma, Dataset, PresetSize};
+use edge_data::{dataset_recognizer, lama, nyma, Dataset, PresetSize};
 use edge_serve::{ServeConfig, Server};
 
 pub struct TestWorld {
@@ -88,4 +88,50 @@ pub fn expected_fragment(text: &str) -> Vec<u8> {
         Ok(resp) => edge_serve::json::render_response(&resp),
         Err(err) => edge_serve::json::render_error(&err),
     }
+}
+
+/// Second metro shard (Los Angeles) alongside the New York world.
+#[allow(dead_code)] // not every test binary uses every fixture
+pub struct LamaWorld {
+    pub model_path: String,
+    pub model: EdgeModel,
+    pub dataset: Dataset,
+}
+
+static LAMA: OnceLock<LamaWorld> = OnceLock::new();
+
+#[allow(dead_code)] // not every test binary uses every fixture
+pub fn lama_world() -> &'static LamaWorld {
+    LAMA.get_or_init(|| {
+        let dataset = lama(PresetSize::Smoke, 9393);
+        let (train, _) = dataset.paper_split();
+        let mut cfg = EdgeConfig::smoke();
+        cfg.epochs = 2;
+        let (model, _) = EdgeModel::train(
+            train,
+            dataset_recognizer(&dataset),
+            &dataset.bbox,
+            cfg,
+            &TrainOptions::default(),
+        )
+        .expect("train");
+        let path = std::env::temp_dir()
+            .join(format!("edge_serve_router_lama_{}.model.json", std::process::id()));
+        model.save_artifact(&path, QuantMode::None).expect("save");
+        let model_path = path.to_string_lossy().into_owned();
+        let model = EdgeModel::load_artifact(&model_path).expect("load");
+        LamaWorld { model_path, model, dataset }
+    })
+}
+
+/// Covered test-split texts from the lama dataset.
+#[allow(dead_code)] // not every test binary uses every fixture
+pub fn lama_texts(n: usize) -> Vec<String> {
+    let w = lama_world();
+    let (_, test) = w.dataset.paper_split();
+    test.iter()
+        .filter(|t| !w.model.resolve_entities(&t.text).is_empty())
+        .take(n)
+        .map(|t| t.text.clone())
+        .collect()
 }

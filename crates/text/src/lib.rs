@@ -12,8 +12,11 @@ pub mod stopwords;
 pub mod token;
 pub mod vocab;
 
-pub use ner::{canonical_id, EntityCategory, EntityMention, EntityRecognizer};
+pub use ner::{
+    canonical_id, EntityCategory, EntityMention, EntityRecognizer, MentionKind, MentionSpan,
+    Mentions,
+};
 pub use ngram::ngrams;
 pub use stopwords::is_stopword;
-pub use token::{lower_words, tokenize, Token, TokenKind};
+pub use token::{lower_words, tokenize, Token, TokenKind, TokenScan};
 pub use vocab::Vocab;

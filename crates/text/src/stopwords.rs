@@ -23,9 +23,23 @@ fn set() -> &'static HashSet<&'static str> {
     SET.get_or_init(|| STOPWORDS.iter().copied().collect())
 }
 
-/// Whether `word` (any case) is a stop word.
+/// Longer than every stop word.
+const MAX_STOPWORD_BYTES: usize = 16;
+
+/// Whether `word` (any case) is a stop word. Allocation-free: every stop
+/// word is short lowercase ASCII, so the word is lowercased into a stack
+/// buffer and rejected at the first character that cannot match.
 pub fn is_stopword(word: &str) -> bool {
-    set().contains(word.to_lowercase().as_str())
+    let mut buf = [0u8; MAX_STOPWORD_BYTES];
+    let mut len = 0;
+    for c in word.chars().flat_map(char::to_lowercase) {
+        if !c.is_ascii() || len == buf.len() {
+            return false;
+        }
+        buf[len] = c as u8;
+        len += 1;
+    }
+    std::str::from_utf8(&buf[..len]).is_ok_and(|w| set().contains(w))
 }
 
 #[cfg(test)]
@@ -47,9 +61,20 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_case_forms_match_like_to_lowercase() {
+        // The Kelvin sign lowercases to ASCII 'k'; dotted capital I to
+        // "i\u{307}", which no stop word contains.
+        for w in ["LI\u{212A}E", "\u{130}F", "IF", "ΟΔΟΣ", "", "becausebecausebecause"] {
+            assert_eq!(is_stopword(w), set().contains(w.to_lowercase().as_str()), "{w}");
+        }
+        assert!(is_stopword("LI\u{212A}E"));
+    }
+
+    #[test]
     fn list_is_deduplicated_and_lowercase() {
         let mut seen = std::collections::HashSet::new();
         for w in STOPWORDS {
+            assert!(w.len() < MAX_STOPWORD_BYTES, "{w} too long");
             assert_eq!(*w, w.to_lowercase(), "{w} not lowercase");
             assert!(seen.insert(w), "{w} duplicated");
         }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Perf smoke gate for the zero-allocation training hot path.
 #
-# 1. Runs the counting-allocator test: a steady-state training batch must
-#    perform exactly zero heap allocations.
+# 1. Runs the counting-allocator tests: a steady-state training batch, and
+#    a warm cache-hit text on the two-shard serving parse path (route,
+#    resolve, cache probe), must each perform exactly zero heap allocations.
 # 2. Runs the smoke pipeline bench with alloc-stats compiled in and checks
 #    the speedup legs: every arena leg reports 0 allocations per batch, the
 #    fresh-alloc reference leg reports plenty, and the pooled train loop has
@@ -14,6 +15,8 @@ set -euo pipefail
 
 echo "== zero-allocation steady state =="
 cargo test --release -p edge-core --features alloc-stats --test zero_alloc \
+    -- --test-threads=1
+cargo test --release -p edge-bench --features alloc-stats --test zero_alloc_parse \
     -- --test-threads=1
 
 echo "== speedup legs =="
