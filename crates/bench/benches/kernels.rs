@@ -113,22 +113,25 @@ fn bench_attention_forward_backward(c: &mut Criterion) {
     let b1 = params.add("b1", Matrix::zeros(1, 1));
     let q2 = params.add("q2", Matrix::random_uniform(64, 24, 0.1, &mut rng));
     let b2 = params.add("b2", Matrix::zeros(1, 24));
-    let entity_sets: Vec<Vec<usize>> = (0..128)
-        .map(|_| (0..rng.gen_range(1..6)).map(|_| rng.gen_range(0..2000)).collect())
-        .collect();
+    // 128 tweets of 1–5 entities each, in the batch layout training uses:
+    // concatenated ids split by offsets.
+    let mut seg_idx = Vec::new();
+    let mut seg_off = vec![0];
+    for _ in 0..128 {
+        for _ in 0..rng.gen_range(1..6) {
+            seg_idx.push(rng.gen_range(0..2000));
+        }
+        seg_off.push(seg_idx.len());
+    }
     let targets: Vec<(f64, f64)> =
         (0..128).map(|_| (rng.gen_range(40.0..41.0), rng.gen_range(-75.0..-74.0))).collect();
     c.bench_function("attention_batch128_fwd_bwd", |b| {
         b.iter(|| {
             let mut tape = Tape::new();
             let sn = tape.constant(smoothed.clone());
-            let zs: Vec<_> = entity_sets
-                .iter()
-                .map(|ids| {
-                    edge_core::attention::attention_aggregate(&mut tape, sn, ids, q1, b1, &params)
-                })
-                .collect();
-            let z = tape.concat_rows(&zs);
+            let z = edge_core::attention::attention_batch(
+                &mut tape, sn, &seg_idx, &seg_off, q1, b1, &params,
+            );
             let w = tape.param(q2, &params);
             let bias = tape.param(b2, &params);
             let lin = tape.matmul(z, w);

@@ -3,45 +3,41 @@
 //! into a fixed-length tweet embedding.
 //!
 //! As with the GCN, a tape path serves training and a plain-matrix path
-//! serves inference; the inference path additionally returns the attention
-//! weights, which are the per-entity interpretability signal.
+//! serves inference. Training pools a whole batch in one tape node
+//! ([`attention_batch`]; the SUM ablation calls `Tape::segment_sum`): the
+//! tweets' entity ids are concatenated and split by offsets, after PyTorch
+//! Geometric's `utils.softmax(src, index)`. The inference path works on one tweet and
+//! additionally returns the attention weights, which are the per-entity
+//! interpretability signal.
 
 use edge_tensor::tape::{NodeId, ParamId, ParamStore, Tape};
 use edge_tensor::{tape::softmax_in_place, Matrix};
 
-/// Tape path: aggregates the rows of `smoothed` (the full `|V| × h` matrix
-/// node) selected by `entity_indices` into a `1 × h` tweet embedding.
-pub fn attention_aggregate(
+/// Tape path: aggregates a whole training batch in one segment op. Tweet
+/// `t`'s entities are the rows `seg_idx[seg_off[t]..seg_off[t + 1]]` of
+/// `smoothed` (the full `|V| × h` matrix node); row `t` of the returned
+/// `B × h` node is its embedding.
+pub fn attention_batch(
     tape: &mut Tape,
     smoothed: NodeId,
-    entity_indices: &[usize],
+    seg_idx: &[usize],
+    seg_off: &[usize],
     q1: ParamId,
     b1: ParamId,
     params: &ParamStore,
 ) -> NodeId {
-    assert!(!entity_indices.is_empty(), "attention needs at least one entity");
-    edge_obs::counter!("core.attention.aggregate.calls").inc(1);
     let _span = edge_obs::span("attention");
-    let h = tape.gather_rows(smoothed, entity_indices); // K x h
+    // `q1` before `b1`: backward then reports b1's gradient before q1's,
+    // the order the optimizer has always seen.
     let q = tape.param(q1, params); // h x 1
     let b = tape.param(b1, params); // 1 x 1
-    let scores = tape.matmul(h, q); // Eq. 2: K x 1
-    let biased = tape.add_row_broadcast(scores, b);
-    let s = tape.relu(biased);
-    let st = tape.transpose(s); // 1 x K
-    let w = tape.softmax_rows(st); // Eq. 3
-    tape.matmul(w, h) // Eq. 4: 1 x h
-}
-
-/// Tape path of the SUM ablation: plain summation of entity rows.
-pub fn sum_aggregate(tape: &mut Tape, smoothed: NodeId, entity_indices: &[usize]) -> NodeId {
-    assert!(!entity_indices.is_empty(), "aggregation needs at least one entity");
-    let h = tape.gather_rows(smoothed, entity_indices);
-    tape.sum_rows(h)
+    let z = tape.segment_attention(smoothed, q, b, seg_idx, seg_off); // Eq. 2–4
+    edge_obs::counter!("core.attention.aggregate.calls").inc((seg_off.len() - 1) as u64);
+    z
 }
 
 /// Inference path: returns `(z, attention_weights)` with weights parallel
-/// to `entity_indices`. Must match [`attention_aggregate`] exactly.
+/// to `entity_indices`. Agrees with [`attention_batch`] to float rounding.
 pub fn attention_infer(
     smoothed: &Matrix,
     entity_indices: &[usize],
@@ -83,21 +79,27 @@ mod tests {
         (smoothed, params, q1, b1)
     }
 
+    /// Three tweets in the batch layout: `[1, 4, 7]`, `[6]`, `[2, 2, 9]`.
+    const SEG_IDX: [usize; 7] = [1, 4, 7, 6, 2, 2, 9];
+    const SEG_OFF: [usize; 4] = [0, 3, 4, 7];
+
     #[test]
     fn tape_and_inference_paths_agree() {
         let (smoothed, params, q1, b1) = setup();
-        let indices = vec![1, 4, 7];
         let mut tape = Tape::new();
         let sn = tape.constant(smoothed.clone());
-        let z_node = attention_aggregate(&mut tape, sn, &indices, q1, b1, &params);
+        let z_node = attention_batch(&mut tape, sn, &SEG_IDX, &SEG_OFF, q1, b1, &params);
         let z_tape = tape.value(z_node).clone();
-        let (z_infer, weights) =
-            attention_infer(&smoothed, &indices, params.get(q1), params.get(b1));
-        assert_eq!(z_tape.shape(), (1, 6));
-        for (a, b) in z_tape.data().iter().zip(z_infer.data()) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+        assert_eq!(z_tape.shape(), (3, 6));
+        for (t, seg) in SEG_OFF.windows(2).enumerate() {
+            let indices = &SEG_IDX[seg[0]..seg[1]];
+            let (z_infer, weights) =
+                attention_infer(&smoothed, indices, params.get(q1), params.get(b1));
+            for (a, b) in z_tape.row(t).iter().zip(z_infer.data()) {
+                assert!((a - b).abs() < 1e-6, "tweet {t}: {a} vs {b}");
+            }
+            assert_eq!(weights.len(), indices.len());
         }
-        assert_eq!(weights.len(), 3);
     }
 
     #[test]
@@ -150,16 +152,18 @@ mod tests {
     #[test]
     fn sum_paths_agree_and_add_rows() {
         let (smoothed, _, _, _) = setup();
-        let indices = vec![0, 3];
         let mut tape = Tape::new();
         let sn = tape.constant(smoothed.clone());
-        let z_node = sum_aggregate(&mut tape, sn, &indices);
+        let z_node = tape.segment_sum(sn, &SEG_IDX, &SEG_OFF);
         let z_tape = tape.value(z_node).clone();
-        let z_infer = sum_infer(&smoothed, &indices);
-        for c in 0..smoothed.cols() {
-            let expected = smoothed.get(0, c) + smoothed.get(3, c);
-            assert!((z_tape.get(0, c) - expected).abs() < 1e-6);
-            assert!((z_infer.get(0, c) - expected).abs() < 1e-6);
+        for (t, seg) in SEG_OFF.windows(2).enumerate() {
+            let indices = &SEG_IDX[seg[0]..seg[1]];
+            let z_infer = sum_infer(&smoothed, indices);
+            for c in 0..smoothed.cols() {
+                let expected: f32 = indices.iter().map(|&i| smoothed.get(i, c)).sum();
+                assert!((z_tape.get(t, c) - expected).abs() < 1e-6);
+                assert!((z_infer.get(0, c) - expected).abs() < 1e-6);
+            }
         }
     }
 

@@ -20,7 +20,7 @@ use edge_tensor::{Adam, CsrMatrix, Matrix, Optimizer, TapeArena};
 use edge_text::{EntityRecognizer, MentionKind, Mentions, TokenScan};
 
 use crate::artifact::{LazyAdjacency, LazyFeatures, SmoothedStore};
-use crate::attention::{attention_aggregate, sum_aggregate};
+use crate::attention::attention_batch;
 use crate::checkpoint::{CheckpointState, Checkpointer, CHECKPOINT_VERSION};
 use crate::config::EdgeConfig;
 use crate::entity2vec::{run_entity2vec, EntityIndex};
@@ -28,6 +28,16 @@ use crate::error::{PredictError, TrainError};
 use crate::gcn::{gcn_forward, gcn_infer};
 use crate::mdn::{init_head_bias, theta_width};
 use crate::predict::{PredictInput, PredictOptions, PredictRequest, PredictResponse, Predictor};
+
+/// Per-batch staging vectors reused across a training run: the batch's
+/// concatenated entity ids, the segment offsets that split them by tweet,
+/// and the targets.
+#[derive(Default)]
+struct BatchStaging {
+    seg_idx: Vec<usize>,
+    seg_off: Vec<usize>,
+    targets: Vec<(f64, f64)>,
+}
 
 /// A location prediction: the mixture (the paper's primary output), the
 /// Eq.-14 point estimate, and the interpretability signals.
@@ -408,14 +418,13 @@ impl EdgeModel {
         let alloc_on = edge_obs::alloc::active();
 
         // Cross-batch recycled storage: the tape arena plus the staging
-        // vectors for aggregation rows, targets and gradients all live for
-        // the whole run, so once the first epoch has warmed the pools a
+        // vectors for segment ids, targets and gradients all live for the
+        // whole run, so once the first epoch has warmed the pools a
         // steady-state batch performs zero heap allocations
         // (`opts.fresh_alloc` reverts to per-batch allocation — the
         // bit-identical reference mode).
         let mut arena = TapeArena::new();
-        let mut z_rows: Vec<NodeId> = Vec::new();
-        let mut targets: Vec<(f64, f64)> = Vec::new();
+        let mut staging = BatchStaging::default();
         let mut grads: Vec<(ParamId, Matrix)> = Vec::new();
         let mut steady_batch_allocs: Option<u64> = None;
 
@@ -440,39 +449,8 @@ impl EdgeModel {
                 } else {
                     Tape::with_arena(std::mem::take(&mut arena))
                 };
-                let x = tape.constant_shared(Arc::clone(self.features.get()));
-                let smoothed = if self.config.use_gcn {
-                    gcn_forward(&mut tape, self.adjacency.get(), x, &self.w_gcn, &self.params)
-                } else {
-                    x
-                };
-                z_rows.clear();
-                targets.clear();
-                for &i in batch {
-                    let z = if self.config.use_attention {
-                        attention_aggregate(
-                            &mut tape,
-                            smoothed,
-                            &tweet_entities[i],
-                            self.q1,
-                            self.b1,
-                            &self.params,
-                        )
-                    } else {
-                        sum_aggregate(&mut tape, smoothed, &tweet_entities[i])
-                    };
-                    z_rows.push(z);
-                    targets.push((train[i].location.lat, train[i].location.lon));
-                }
-                let mdn_span = edge_obs::span("mdn");
-                let z = tape.concat_rows(&z_rows); // B x h
-                let w = tape.param(self.q2, &self.params);
-                let b = tape.param(self.b2, &self.params);
-                let lin = tape.matmul(z, w);
-                let theta = tape.add_row_broadcast(lin, b); // Eq. 7
-                let nll_sum = tape.gmm_nll(theta, &targets, self.config.n_components);
-                let loss = tape.scale(nll_sum, 1.0 / batch.len() as f32);
-                drop(mdn_span);
+                let (nll_sum, loss) =
+                    self.record_batch(&mut tape, batch, train, tweet_entities, &mut staging);
                 let batch_nll = tape.scalar(nll_sum) as f64;
                 tape.backward_into(loss, &mut grads);
                 // Retire the tape *before* the optimizer step: its shared
@@ -638,6 +616,50 @@ impl EdgeModel {
             start_epoch,
             steady_batch_allocs,
         })
+    }
+
+    /// Records one training batch's forward pass on `tape`: diffusion
+    /// (Eq. 1), one segment op aggregating every tweet (Eq. 2–4), the
+    /// mixture head (Eq. 7) and the NLL (Eq. 13). Returns the summed NLL
+    /// node and the batch-mean loss node. The node count does not depend
+    /// on the batch size.
+    fn record_batch(
+        &self,
+        tape: &mut Tape,
+        batch: &[usize],
+        train: &[Tweet],
+        tweet_entities: &[Vec<usize>],
+        staging: &mut BatchStaging,
+    ) -> (NodeId, NodeId) {
+        let x = tape.constant_shared(Arc::clone(self.features.get()));
+        let smoothed = if self.config.use_gcn {
+            gcn_forward(tape, self.adjacency.get(), x, &self.w_gcn, &self.params)
+        } else {
+            x
+        };
+        let BatchStaging { seg_idx, seg_off, targets } = staging;
+        seg_idx.clear();
+        seg_off.clear();
+        targets.clear();
+        seg_off.push(0);
+        for &i in batch {
+            seg_idx.extend_from_slice(&tweet_entities[i]);
+            seg_off.push(seg_idx.len());
+            targets.push((train[i].location.lat, train[i].location.lon));
+        }
+        let z = if self.config.use_attention {
+            attention_batch(tape, smoothed, seg_idx, seg_off, self.q1, self.b1, &self.params)
+        } else {
+            tape.segment_sum(smoothed, seg_idx, seg_off)
+        }; // B x h
+        let _mdn_span = edge_obs::span("mdn");
+        let w = tape.param(self.q2, &self.params);
+        let b = tape.param(self.b2, &self.params);
+        let lin = tape.matmul(z, w);
+        let theta = tape.add_row_broadcast(lin, b); // Eq. 7
+        let nll_sum = tape.gmm_nll(theta, targets, self.config.n_components);
+        let loss = tape.scale(nll_sum, 1.0 / batch.len() as f32);
+        (nll_sum, loss)
     }
 
     /// Telemetry grouping of a parameter: 0 = GCN stack, 1 = attention
@@ -1050,6 +1072,29 @@ mod tests {
         let n = model.entity_index().len();
         let err = model.locate(&PredictRequest::entities(vec![0, n]), &Default::default());
         assert_eq!(err.unwrap_err(), PredictError::EntityOutOfRange { id: n, n_entities: n });
+    }
+
+    #[test]
+    fn batch_tape_size_does_not_grow_with_the_batch() {
+        // One segment op aggregates the whole batch, so a batch's tape has
+        // as many nodes for 8 tweets as for 64. The per-tweet graph it
+        // replaced added nine nodes per tweet.
+        let (mut model, _, d) = trained();
+        let (train, _) = d.paper_split();
+        let tweet_entities: Vec<Vec<usize>> =
+            train.iter().map(|t| model.resolve_entities(&t.text)).collect();
+        let usable: Vec<usize> =
+            (0..train.len()).filter(|&i| !tweet_entities[i].is_empty()).collect();
+        for use_attention in [true, false] {
+            model.config.use_attention = use_attention;
+            let nodes = |n: usize| {
+                let mut tape = Tape::new();
+                let mut staging = BatchStaging::default();
+                model.record_batch(&mut tape, &usable[..n], train, &tweet_entities, &mut staging);
+                tape.len()
+            };
+            assert_eq!(nodes(8), nodes(64), "use_attention = {use_attention}");
+        }
     }
 
     #[test]

@@ -34,7 +34,9 @@ fn steady_state_training_batch_allocates_nothing() {
     assert_eq!(min, 0, "steady-state batch performed {min} heap allocations");
 
     // The reference mode must show the counter actually measures something:
-    // fresh allocation is far from zero on every batch.
+    // fresh allocation is far from zero on every batch. A batch's tape is
+    // under twenty nodes (one segment op aggregates every tweet), and each
+    // node value and backward gradient is a fresh buffer: ~40 per batch.
     let fresh = edge_par::with_max_threads(1, || {
         let opts = TrainOptions { fresh_alloc: true, ..TrainOptions::default() };
         let (_, report) =
@@ -43,5 +45,5 @@ fn steady_state_training_batch_allocates_nothing() {
         report
     });
     let fresh_min = fresh.steady_batch_allocs.expect("alloc-stats is compiled in");
-    assert!(fresh_min > 100, "fresh-alloc reference should allocate per batch, saw {fresh_min}");
+    assert!(fresh_min > 20, "fresh-alloc reference should allocate per batch, saw {fresh_min}");
 }

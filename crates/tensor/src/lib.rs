@@ -11,8 +11,9 @@
 //!   operator,
 //! * [`Tape`] — an eagerly evaluated autodiff graph covering dense/sparse
 //!   products, the paper's activations (ReLU, softmax, softplus, softsign),
-//!   row gather/concat for per-tweet entity sets, im2col/max-pool for the
-//!   character CNN, and fused mixture-NLL heads with analytically derived,
+//!   row gather/concat, one-node-per-batch segment attention and segment sum
+//!   over the tweets' entity sets, im2col/max-pool for the character CNN,
+//!   and fused mixture-NLL heads with analytically derived,
 //!   finite-difference-verified gradients,
 //! * [`optim`] — SGD and Adam with decoupled weight decay (the paper's
 //!   training configuration),
@@ -35,6 +36,7 @@ pub mod loss;
 pub mod matrix;
 pub mod optim;
 pub mod quant;
+mod segment;
 pub mod simd;
 pub mod sparse;
 pub mod tape;

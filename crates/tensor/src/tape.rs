@@ -8,12 +8,19 @@
 //!
 //! The operation set is exactly what the EDGE model family needs: dense and
 //! sparse matrix products (GCN layers), the activation functions of
-//! Eq. 2/10/11/12 (ReLU, softplus, softsign, softmax), row gather/concat
-//! (per-tweet entity sets), 1-D convolution with max-pooling (the
-//! UnicodeCNN baseline) and two fused negative-log-likelihood heads (the
-//! bivariate-Gaussian-mixture loss of Eq. 13 and the fixed-component MvMF
-//! loss) whose hand-derived gradients are verified against finite
-//! differences in this crate's tests.
+//! Eq. 2/10/11/12 (ReLU, softplus, softsign, softmax), row gather/concat,
+//! 1-D convolution with max-pooling (the UnicodeCNN baseline) and two fused
+//! negative-log-likelihood heads (the bivariate-Gaussian-mixture loss of
+//! Eq. 13 and the fixed-component MvMF loss) whose hand-derived gradients
+//! are verified against finite differences in this crate's tests.
+//!
+//! A training batch aggregates all of its tweets in one node:
+//! [`Tape::segment_attention`] (Eq. 2–4) or [`Tape::segment_sum`] (the SUM
+//! ablation) take the concatenated entity ids and per-tweet offsets, so the
+//! tape's size does not grow with the batch. Their hand-written backward
+//! passes are bit-identical to the per-tweet graph of primitive ops
+//! (gather, matmul, bias, ReLU, transpose, softmax, matmul) they replace;
+//! `tests/segment.rs` holds that graph as the oracle.
 //!
 //! ## Memory plan
 //!
@@ -33,6 +40,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::arena::TapeArena;
 use crate::matrix::Matrix;
+use crate::segment::{self, AttentionGrads, Segments};
 use crate::sparse::CsrMatrix;
 
 /// Handle to a persistent parameter in a [`ParamStore`].
@@ -169,6 +177,17 @@ pub(crate) enum Op {
     /// Fused fixed-component mixture NLL (UnicodeCNN head) with cached
     /// gradient.
     MixtureConstNll(NodeId, Matrix),
+    /// One batch's per-segment pooling of gathered `src` rows (see the
+    /// `segment` module): attention-weighted (Eq. 2–4) when `scorer`
+    /// holds the `(q, b)` nodes, with the pre-ReLU scores and the weights
+    /// cached in `cache`; a plain row sum (the SUM ablation) when it is
+    /// `None`.
+    SegmentPool {
+        src: NodeId,
+        scorer: Option<(NodeId, NodeId)>,
+        segs: Segments,
+        cache: Matrix,
+    },
 }
 
 #[derive(Debug)]
@@ -227,6 +246,11 @@ impl Tape {
                 Op::MaxPoolRows(_, argmax) => arena.recycle_indices(argmax),
                 Op::ConcatRows(parts) => arena.recycle_node_list(parts),
                 Op::GmmNll(_, cached) | Op::MixtureConstNll(_, cached) => arena.recycle(cached),
+                Op::SegmentPool { segs, cache, .. } => {
+                    arena.recycle_indices(segs.ids);
+                    arena.recycle_indices(segs.offsets);
+                    arena.recycle(cache);
+                }
                 _ => {}
             }
             if let Value::Owned(m) = value {
@@ -531,6 +555,58 @@ impl Tape {
         }
         let g = self.rg(a);
         self.push(Value::Owned(v), Op::Im2Col(a, kernel), g)
+    }
+
+    // ---- segment pooling --------------------------------------------------
+
+    /// Attention pooling of a whole batch (Eq. 2–4) in one node. Segment
+    /// `t` owns the `src` rows `indices[offsets[t]..offsets[t + 1]]`; each
+    /// row is scored `ReLU(row · q + b)` (`q` is `h × 1`, `b` is `1 × 1`),
+    /// the scores are softmaxed within the segment, and the weighted row
+    /// sum becomes row `t` of the `B × h` output. Indices may repeat; every
+    /// segment must be non-empty. Values and gradients are bit-identical to
+    /// the per-segment graph of primitive ops (see the `segment` module).
+    pub fn segment_attention(
+        &mut self,
+        src: NodeId,
+        q: NodeId,
+        b: NodeId,
+        indices: &[usize],
+        offsets: &[usize],
+    ) -> NodeId {
+        let h = self.value(src).cols();
+        assert_eq!(self.value(q).shape(), (h, 1), "segment_attention: q must be h x 1");
+        assert_eq!(self.value(b).shape(), (1, 1), "segment_attention: b must be 1 x 1");
+        let segs = self.intern_segments(src, indices, offsets);
+        let mut v = self.arena.take_matrix(segs.len(), h);
+        let mut cache = self.arena.take_matrix(2, indices.len());
+        let bias = self.value(b).get(0, 0);
+        segment::attention_forward(self.value(src), self.value(q), bias, &segs, &mut v, &mut cache);
+        let g = self.rg(src) || self.rg(q) || self.rg(b);
+        self.push(Value::Owned(v), Op::SegmentPool { src, scorer: Some((q, b)), segs, cache }, g)
+    }
+
+    /// Row-sum pooling of a whole batch (the SUM ablation) in one node:
+    /// row `t` of the `B × h` output sums the `src` rows
+    /// `indices[offsets[t]..offsets[t + 1]]`. Same layout rules and
+    /// exactness as [`Tape::segment_attention`].
+    pub fn segment_sum(&mut self, src: NodeId, indices: &[usize], offsets: &[usize]) -> NodeId {
+        let segs = self.intern_segments(src, indices, offsets);
+        let mut v = self.arena.take_matrix(segs.len(), self.value(src).cols());
+        segment::sum_forward(self.value(src), &segs, &mut v);
+        let cache = self.arena.take_matrix(0, 0);
+        let g = self.rg(src);
+        self.push(Value::Owned(v), Op::SegmentPool { src, scorer: None, segs, cache }, g)
+    }
+
+    /// Validates a segment layout and copies it into recycled storage.
+    fn intern_segments(&mut self, src: NodeId, indices: &[usize], offsets: &[usize]) -> Segments {
+        segment::check_layout(indices, offsets, self.value(src).rows());
+        let mut ids = self.arena.take_indices(indices.len());
+        ids.extend_from_slice(indices);
+        let mut offs = self.arena.take_indices(offsets.len());
+        offs.extend_from_slice(offsets);
+        Segments { ids, offsets: offs }
     }
 
     // ---- fused losses -----------------------------------------------------
@@ -911,6 +987,46 @@ impl Tape {
                         let s = g_out.get(0, 0);
                         cached.map_into(&mut d, |v| v * s);
                         acc(arena, &mut grads, *logits, d);
+                    }
+                }
+                Op::SegmentPool { src, scorer, segs, cache } => {
+                    let sv = val(*src);
+                    let mut d_src = rg(*src).then(|| arena.take_matrix_like(sv));
+                    let mut scratch = arena.take_matrix(1, 2 * segs.max_len() + sv.cols());
+                    match *scorer {
+                        Some((q, b)) => {
+                            let mut d_q = rg(q).then(|| arena.take_matrix_like(val(q)));
+                            let mut d_b = rg(b).then(|| arena.take_matrix_like(val(b)));
+                            let out = AttentionGrads {
+                                src: d_src.as_mut(),
+                                q: d_q.as_mut(),
+                                b: d_b.as_mut(),
+                            };
+                            segment::attention_backward(
+                                sv,
+                                val(q),
+                                segs,
+                                cache,
+                                &g_out,
+                                scratch.data_mut(),
+                                out,
+                            );
+                            if let Some(d) = d_q {
+                                acc(arena, &mut grads, q, d);
+                            }
+                            if let Some(d) = d_b {
+                                acc(arena, &mut grads, b, d);
+                            }
+                        }
+                        None => {
+                            if let Some(d) = d_src.as_mut() {
+                                segment::sum_backward(segs, &g_out, d, scratch.data_mut());
+                            }
+                        }
+                    }
+                    arena.recycle(scratch);
+                    if let Some(d) = d_src {
+                        acc(arena, &mut grads, *src, d);
                     }
                 }
             }

@@ -433,3 +433,45 @@ fn attention_block_gradient() {
         3e-2,
     );
 }
+
+#[test]
+fn segment_attention_gradient() {
+    // The same computation as one batch op over three tweets: a single
+    // entity, three entities, and an entity repeated within a tweet.
+    let mut rng = rng();
+    let mut params = ParamStore::new();
+    let src = params.add("src", Matrix::random_uniform(5, 6, 0.5, &mut rng));
+    let q1 = params.add("q1", Matrix::random_uniform(6, 1, 0.5, &mut rng));
+    let b1 = params.add("b1", Matrix::random_uniform(1, 1, 0.2, &mut rng));
+    grad_check(
+        &mut params,
+        &[src, q1, b1],
+        &move |t, p| {
+            let s = t.param(src, p);
+            let q = t.param(q1, p);
+            let b = t.param(b1, p);
+            let z = t.segment_attention(s, q, b, &[3, 0, 2, 4, 1, 4, 2], &[0, 1, 4, 7]);
+            let sq = t.hadamard(z, z);
+            t.sum_all(sq)
+        },
+        3e-2,
+    );
+}
+
+#[test]
+fn segment_sum_gradient() {
+    let mut rng = rng();
+    let mut params = ParamStore::new();
+    let src = params.add("src", Matrix::random_uniform(5, 4, 0.5, &mut rng));
+    grad_check(
+        &mut params,
+        &[src],
+        &move |t, p| {
+            let s = t.param(src, p);
+            let z = t.segment_sum(s, &[3, 0, 2, 4, 1, 4, 2], &[0, 1, 4, 7]);
+            let sq = t.hadamard(z, z);
+            t.sum_all(sq)
+        },
+        3e-2,
+    );
+}
