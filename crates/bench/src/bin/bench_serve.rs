@@ -11,8 +11,8 @@
 //!    server defaults, only the batching differs.
 //! 3. `unbatched-cold` / 4. `batched-cold` — the same pair with the
 //!    response cache disabled, isolating the model-bound regime where
-//!    every text pays the full inference cost (dominated by the
-//!    mixture-mode gradient ascent, ~50us/text at smoke scale).
+//!    every text pays the full inference cost (inference forward pass,
+//!    Eq. 14 mode search and rendering).
 //!
 //! On top of the classic legs, the event-loop/router stack gets its own
 //! measurements:

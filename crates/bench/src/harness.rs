@@ -141,14 +141,7 @@ pub fn run_method(dataset: &Dataset, method: &str, config: &HarnessConfig) -> Me
         (ew * ew + ns * ns).sqrt() / 2.0
     };
     let report = match method {
-        "EDGE" => run_edge(dataset, &config.edge).0,
-        "BOW" => {
-            let model = BowModel::train(train, &dataset.bbox, &config.edge, 4000);
-            eval_geolocator(&model, test)
-        }
-        "NoGCN" => run_edge(dataset, &config.edge.clone().ablation_no_gcn()).0,
-        "SUM" => run_edge(dataset, &config.edge.clone().ablation_sum()).0,
-        "NoMixture" => run_edge(dataset, &config.edge.clone().ablation_no_mixture()).0,
+        "EDGE" | "BOW" | "NoGCN" | "SUM" | "NoMixture" => run_ablation(dataset, method, config).0,
         "LocKDE" => {
             let m = LocKde::fit(train, grid, scale_km, config.lockde);
             eval_geolocator(&m, test)
@@ -182,6 +175,119 @@ pub fn run_method(dataset: &Dataset, method: &str, config: &HarnessConfig) -> Me
         other => panic!("unknown method '{other}'"),
     };
     MethodResult { method: method.to_string(), dataset: dataset.name.clone(), report }
+}
+
+/// Trains and evaluates full EDGE or one of its Table IV ablations, keeping
+/// each covered test tweet's predicted mixture next to its truth.
+fn run_ablation(
+    dataset: &Dataset,
+    method: &str,
+    config: &HarnessConfig,
+) -> (DistanceReport, Vec<(GaussianMixture, Point)>) {
+    match method {
+        "EDGE" => run_edge(dataset, &config.edge),
+        "NoGCN" => run_edge(dataset, &config.edge.clone().ablation_no_gcn()),
+        "SUM" => run_edge(dataset, &config.edge.clone().ablation_sum()),
+        "NoMixture" => run_edge(dataset, &config.edge.clone().ablation_no_mixture()),
+        "BOW" => {
+            let (train, test) = dataset.paper_split();
+            let model = BowModel::train(train, &dataset.bbox, &config.edge, 4000);
+            let outcome = model.evaluate(test, &PredictOptions::default());
+            let report = outcome.report().expect("BOW answers every tweet");
+            (report, outcome.pairs.into_iter().map(|(p, t)| (p.mixture, t)).collect())
+        }
+        other => panic!("'{other}' is not a Table IV method"),
+    }
+}
+
+/// Mean error (km) of one cell's predicted mixtures under three point
+/// estimates: the Eq. 14 density mode (what every table reports), the
+/// mixture mean `Σ πₖμₖ`, and the mean of the heaviest component.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+pub struct PointEstimateKm {
+    /// Mean km of the density mode.
+    pub mode: f64,
+    /// Mean km of the mixture mean.
+    pub mixture_mean: f64,
+    /// Mean km of the dominant component's μ.
+    pub dominant_mu: f64,
+}
+
+impl PointEstimateKm {
+    /// Scores every mixture of `pairs` under the three estimates.
+    pub fn of(pairs: &[(GaussianMixture, Point)]) -> Self {
+        let mean_km = |estimate: &dyn Fn(&GaussianMixture) -> Point| {
+            let points: Vec<(Point, Point)> =
+                pairs.iter().map(|(m, t)| (estimate(m), *t)).collect();
+            DistanceReport::from_pairs(&points).map_or(f64::NAN, |r| r.mean_km)
+        };
+        Self {
+            mode: mean_km(&GaussianMixture::mode),
+            mixture_mean: mean_km(&GaussianMixture::mean),
+            dominant_mu: mean_km(&|m| m.components()[m.dominant_component().0].mu),
+        }
+    }
+}
+
+/// One Table IV cell: the averaged report, plus the cell's mean error under
+/// each point estimate, averaged over the same seeds.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct AblationResult {
+    /// Method name as in the paper.
+    pub method: String,
+    /// Dataset name.
+    pub dataset: String,
+    /// Averaged distance metrics (point estimate: the mode).
+    pub report: DistanceReport,
+    /// Averaged mean km under the mode, the mixture mean and the dominant μ.
+    pub point_estimates: PointEstimateKm,
+}
+
+/// Runs one Table IV method over several seeds, keeping its mixtures'
+/// point-estimate errors, and averages like [`run_method_seeds`].
+pub fn run_ablation_seeds(
+    dataset: &Dataset,
+    method: &str,
+    config: &HarnessConfig,
+    seeds: &[u64],
+) -> AblationResult {
+    assert!(!seeds.is_empty());
+    let runs: Vec<(DistanceReport, PointEstimateKm)> = seeds
+        .iter()
+        .map(|&s| {
+            let (report, pairs) = run_ablation(dataset, method, &reseeded(config, s));
+            (report, PointEstimateKm::of(&pairs))
+        })
+        .collect();
+    let reports: Vec<DistanceReport> = runs.iter().map(|r| r.0).collect();
+    let n = runs.len() as f64;
+    let avg = |f: fn(&PointEstimateKm) -> f64| runs.iter().map(|r| f(&r.1)).sum::<f64>() / n;
+    AblationResult {
+        method: method.to_string(),
+        dataset: dataset.name.clone(),
+        report: average_reports(&reports),
+        point_estimates: PointEstimateKm {
+            mode: avg(|e| e.mode),
+            mixture_mean: avg(|e| e.mixture_mean),
+            dominant_mu: avg(|e| e.dominant_mu),
+        },
+    }
+}
+
+/// Renders each Table IV cell's mean error under the three point estimates.
+pub fn render_point_estimates(results: &[AblationResult]) -> String {
+    let mut out = format!(
+        "{:<12} {:<12} {:>9} {:>13} {:>13}\n",
+        "Dataset", "Algorithm", "Mode(km)", "MixMean(km)", "DomMu(km)"
+    );
+    for r in results {
+        let e = &r.point_estimates;
+        out.push_str(&format!(
+            "{:<12} {:<12} {:>9.2} {:>13.2} {:>13.2}\n",
+            r.dataset, r.method, e.mode, e.mixture_mean, e.dominant_mu
+        ));
+    }
+    out
 }
 
 /// The method names of a set, in the paper's table order.
@@ -232,21 +338,22 @@ pub fn run_method_seeds(
             | "Hyper-local"
     );
     let seeds = if deterministic { &seeds[..1] } else { seeds };
-    let reports: Vec<DistanceReport> = seeds
-        .iter()
-        .map(|&s| {
-            let mut c = config.clone();
-            c.edge.seed = s;
-            c.edge.sgns.seed = s ^ 0xbeef;
-            c.unicode.seed = s;
-            run_method(dataset, method, &c).report
-        })
-        .collect();
+    let reports: Vec<DistanceReport> =
+        seeds.iter().map(|&s| run_method(dataset, method, &reseeded(config, s)).report).collect();
     MethodResult {
         method: method.to_string(),
         dataset: dataset.name.clone(),
         report: average_reports(&reports),
     }
+}
+
+/// `config` with every neural method's training seed set from `seed`.
+fn reseeded(config: &HarnessConfig, seed: u64) -> HarnessConfig {
+    let mut c = config.clone();
+    c.edge.seed = seed;
+    c.edge.sgns.seed = seed ^ 0xbeef;
+    c.unicode.seed = seed;
+    c
 }
 
 /// RDP sweep for EDGE on a dataset (Figure 5): returns `(r, RDP(r))` pairs.
@@ -513,9 +620,6 @@ pub struct SimdKernelBench {
     /// Batched haversine throughput, millions of pairs/s. Accuracy-gated
     /// (vector polynomials vs libm), hence the larger headroom.
     pub haversine_mpairs: KernelLeg,
-    /// Mixture-density evaluations (8 components), millions of pdf calls/s.
-    /// Accuracy-gated like the haversine.
-    pub mixture_pdf_meval: KernelLeg,
 }
 
 /// Runs `f` repeatedly for ~`budget` and returns the fastest per-iteration
@@ -585,50 +689,11 @@ pub fn run_simd_kernel_bench() -> SimdKernelBench {
             std::hint::black_box(edge_geo::haversine_km_batch(&pairs));
         });
 
-        let mix = edge_geo::GaussianMixture::new(
-            (0..8)
-                .map(|_| {
-                    (
-                        rng.gen_range(0.1..1.0),
-                        edge_geo::BivariateGaussian::new(
-                            edge_geo::Point::new(
-                                rng.gen_range(40.0..41.0),
-                                rng.gen_range(-75.0..-74.0),
-                            ),
-                            rng.gen_range(0.01..0.2),
-                            rng.gen_range(0.01..0.2),
-                            rng.gen_range(-0.5..0.5),
-                        ),
-                    )
-                })
-                .collect(),
-        );
-        let queries: Vec<edge_geo::Point> = (0..1024)
-            .map(|_| edge_geo::Point::new(rng.gen_range(40.0..41.0), rng.gen_range(-75.0..-74.0)))
-            .collect();
-        let mixture_pdf_meval = kernel_leg(queries.len() as f64 / 1e6, || {
-            // The mode search's density loop: the SoA evaluator when the
-            // vector kernels are active, the scalar pdf otherwise.
-            match edge_geo::simd::MixtureEval::new(&mix) {
-                Some(eval) => {
-                    for q in &queries {
-                        std::hint::black_box(eval.pdf(q));
-                    }
-                }
-                None => {
-                    for q in &queries {
-                        std::hint::black_box(mix.pdf(q));
-                    }
-                }
-            }
-        });
-
         SimdKernelBench {
             simd_active: edge_par::simd_active(),
             matmul_gflops,
             spmm_gflops,
             haversine_mpairs,
-            mixture_pdf_meval,
         }
     })
 }
@@ -647,7 +712,6 @@ pub fn render_simd_table(s: &SimdKernelBench) -> String {
         ("matmul (GFLOP/s)", &s.matmul_gflops),
         ("spmm (GFLOP/s)", &s.spmm_gflops),
         ("haversine (Mpairs/s)", &s.haversine_mpairs),
-        ("mixture pdf (Meval/s)", &s.mixture_pdf_meval),
     ] {
         out.push_str(&format!(
             "{:<28} {:>10.2} {:>10.2} {:>8.2}x\n",

@@ -109,23 +109,6 @@ impl BivariateGaussian {
         Point::new(lat, lon)
     }
 
-    /// Gradient of the pdf with respect to the query point, `(∂/∂lat, ∂/∂lon)`.
-    ///
-    /// Used by the Eq.-14 mode search (density gradient ascent).
-    pub fn pdf_grad(&self, p: &Point) -> (f64, f64) {
-        let density = self.pdf(p);
-        let s1 = self.sigma_lat;
-        let s2 = self.sigma_lon;
-        let r = self.rho;
-        let one_m_r2 = 1.0 - r * r;
-        let dx = p.lat - self.mu.lat;
-        let dy = p.lon - self.mu.lon;
-        // d/dlat of -0.5 * mahalanobis_sq
-        let g_lat = -(dx / (s1 * s1) - r * dy / (s1 * s2)) / one_m_r2;
-        let g_lon = -(dy / (s2 * s2) - r * dx / (s1 * s2)) / one_m_r2;
-        (density * g_lat, density * g_lon)
-    }
-
     /// The eigen-decomposition of Σ: `(λ_major, λ_minor, angle)` where
     /// `angle` is the rotation of the major eigenvector from the latitude
     /// axis.
@@ -356,19 +339,5 @@ mod tests {
         let (l1, l2, _) = g.covariance_eigen();
         assert!((l1 - 0.09).abs() < 1e-12);
         assert!((l2 - 0.09).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pdf_grad_matches_finite_difference() {
-        let g = g();
-        let p = Point::new(40.73, -74.06);
-        let (ga, go) = g.pdf_grad(&p);
-        let h = 1e-6;
-        let fd_lat = (g.pdf(&Point::new(p.lat + h, p.lon)) - g.pdf(&Point::new(p.lat - h, p.lon)))
-            / (2.0 * h);
-        let fd_lon = (g.pdf(&Point::new(p.lat, p.lon + h)) - g.pdf(&Point::new(p.lat, p.lon - h)))
-            / (2.0 * h);
-        assert!((ga - fd_lat).abs() < 1e-4 * (1.0 + fd_lat.abs()), "{ga} vs {fd_lat}");
-        assert!((go - fd_lon).abs() < 1e-4 * (1.0 + fd_lon.abs()), "{go} vs {fd_lon}");
     }
 }

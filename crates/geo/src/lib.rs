@@ -22,8 +22,8 @@
 //!   Precision, the evaluation metrics of Tables III–IV and Figure 5,
 //! * [`heatmap`] — density heatmaps for the Figure 1/8/9 use cases,
 //! * [`simd`] — runtime-detected AVX2+FMA kernels for batched haversine
-//!   and mixture-density evaluation, accuracy-gated against the scalar
-//!   paths (`EDGE_NO_SIMD` disables them).
+//!   distances, accuracy-gated against the scalar path (`EDGE_NO_SIMD`
+//!   disables them).
 //!
 //! Everything is deterministic given an explicit seed; nothing here reads
 //! clocks or global RNG state.

@@ -117,77 +117,50 @@ impl GaussianMixture {
 
     /// Eq. 14: the location maximizing the mixture density.
     ///
-    /// The density is multi-modal, so we run gradient ascent from every
-    /// component mean (plus the mixture mean) and keep the best endpoint.
-    /// Each ascent uses a normalized-gradient step with backtracking, which
-    /// is robust to the wildly varying density magnitudes that degree-scale
-    /// σ values produce.
+    /// The density is multi-modal, so the search climbs from every
+    /// component mean and from the mixture mean, and keeps the densest
+    /// endpoint. Each climb is the fixed-point iteration for Gaussian-mixture
+    /// modes (Carreira-Perpiñán, "Mode-finding for mixtures of Gaussian
+    /// distributions", IEEE TPAMI 2000):
+    ///
+    /// ```text
+    /// x ← (Σₖ rₖ Λₖ)⁻¹ Σₖ rₖ Λₖ μₖ,   rₖ ∝ πₖ Nₖ(x),   Λₖ = Σₖ⁻¹
+    /// ```
+    ///
+    /// It needs no step size and never lowers the density. The iterate is
+    /// updated by its displacement `(Σ rₖΛₖ)⁻¹ Σ rₖΛₖ(μₖ − x)`, a
+    /// closed-form 2×2 solve, so a lone component lands on its mean
+    /// exactly. Responsibilities are formed in log space (the largest log
+    /// term is subtracted before `exp`), so a start far from every other
+    /// component cannot turn into 0/0.
+    ///
+    /// The fixed point converges linearly, and crawls where two components
+    /// nearly merge. Where `ln p` is locally concave, the climb therefore
+    /// takes the Newton step on `ln p` instead: it comes from the same sums
+    /// plus one more 2×2 solve, and converges quadratically. A Newton step
+    /// that lowers the density is replaced by the fixed-point step from the
+    /// same iterate. A climb stops once its step is at most `MODE_TOL_DEG`
+    /// on both axes, after `MODE_MAX_ITERS` steps, or when a fixed-point
+    /// step lowers the density beyond rounding, which it undoes.
+    ///
+    /// Steady-state calls allocate nothing: the per-component constants
+    /// live in a reused thread-local buffer.
     pub fn mode(&self) -> Point {
-        // With the AVX2 kernels active the search runs on a precomputed
-        // structure-of-arrays evaluator (accuracy-gated against the scalar
-        // path in `tests/simd_accuracy.rs`); otherwise on the exact scalar
-        // density and gradient below.
-        if let Some(eval) = crate::simd::MixtureEval::new(self) {
-            return self.mode_with(&|p| eval.pdf(p), &|p| eval.grad(p));
-        }
-        self.mode_with(&|p| self.pdf(p), &|p| {
-            let (mut g_lat, mut g_lon) = (0.0, 0.0);
-            for (w, comp) in self.iter() {
-                let (a, b) = comp.pdf_grad(p);
-                g_lat += w * a;
-                g_lon += w * b;
+        MODE_TERMS.with(|cell| {
+            let mut terms = cell.take();
+            terms.clear();
+            terms.extend(self.iter().map(|(w, g)| ModeTerm::new(w, g)));
+            let mut best = (f64::NEG_INFINITY, self.components[0].mu);
+            let starts = self.components.iter().map(|g| g.mu).chain([self.mean()]);
+            for start in starts {
+                let climbed = climb(&mut terms, start);
+                if climbed.0 > best.0 {
+                    best = climbed;
+                }
             }
-            (g_lat, g_lon)
+            cell.set(terms);
+            best.1
         })
-    }
-
-    fn mode_with(&self, pdf: &dyn Fn(&Point) -> f64, grad: &dyn Fn(&Point) -> (f64, f64)) -> Point {
-        let mut starts: Vec<Point> = self.components.iter().map(|g| g.mu).collect();
-        starts.push(self.mean());
-        let mut best = starts[0];
-        let mut best_density = pdf(&best);
-        for start in starts {
-            let refined = self.ascend(start, pdf, grad);
-            let d = pdf(&refined);
-            if d > best_density {
-                best_density = d;
-                best = refined;
-            }
-        }
-        best
-    }
-
-    fn ascend(
-        &self,
-        mut p: Point,
-        pdf: &dyn Fn(&Point) -> f64,
-        grad: &dyn Fn(&Point) -> (f64, f64),
-    ) -> Point {
-        // Scale the initial step to the smallest component σ so the search
-        // resolves the sharpest mode.
-        let min_sigma = self
-            .components
-            .iter()
-            .map(|g| g.sigma_lat.min(g.sigma_lon))
-            .fold(f64::INFINITY, f64::min);
-        let mut step = min_sigma * 0.5;
-        let mut density = pdf(&p);
-        for _ in 0..200 {
-            let (g_lat, g_lon) = grad(&p);
-            let norm = (g_lat * g_lat + g_lon * g_lon).sqrt();
-            if norm < 1e-300 || step < 1e-10 {
-                break;
-            }
-            let candidate = Point::new(p.lat + step * g_lat / norm, p.lon + step * g_lon / norm);
-            let cd = pdf(&candidate);
-            if cd > density {
-                p = candidate;
-                density = cd;
-            } else {
-                step *= 0.5;
-            }
-        }
-        p
     }
 
     /// Monte-Carlo estimate of the probability mass the mixture places
@@ -221,6 +194,160 @@ impl GaussianMixture {
     pub fn weight_entropy(&self) -> f64 {
         -self.weights.iter().filter(|&&w| w > 0.0).map(|w| w * w.ln()).sum::<f64>()
     }
+}
+
+/// A climb of the mode search stops once its step is at most this many
+/// degrees on both axes (about a micrometre).
+const MODE_TOL_DEG: f64 = 1e-11;
+
+/// Steps allowed per start of the mode search. Over the smoke corpora's
+/// test mixtures a whole search (every start) takes at most 91; the cap
+/// bounds pathological mixtures.
+const MODE_MAX_ITERS: usize = 200;
+
+/// A fall in log density smaller than this is rounding in the density
+/// itself, not a step downhill: along a flat axis (σ ≈ 0.3° beside
+/// σ ≈ 0.006°) the last steps change the density by less than one ulp.
+const MODE_GUARD_SLACK: f64 = 1e-12;
+
+thread_local! {
+    /// Recycled per-component constants, so steady-state `mode()` calls
+    /// allocate nothing. `Cell` take/put keeps a nested call safe.
+    static MODE_TERMS: std::cell::Cell<Vec<ModeTerm>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// One component as the mode search uses it, precomputed once per call.
+#[derive(Debug, Clone, Copy)]
+struct ModeTerm {
+    mu: Point,
+    /// `ln πₖ + ln normₖ`: the log density at the mean, weight included.
+    log_peak: f64,
+    /// The precision `Λₖ = Σₖ⁻¹`: `[[l11, l12], [l12, l22]]`.
+    l11: f64,
+    l12: f64,
+    l22: f64,
+    /// Scratch for one step: this component's log term at the iterate.
+    log_term: f64,
+}
+
+impl ModeTerm {
+    fn new(w: f64, g: &BivariateGaussian) -> Self {
+        let (s1, s2, rho) = (g.sigma_lat, g.sigma_lon, g.rho);
+        let one_m_r2 = 1.0 - rho * rho;
+        let log_norm = -(2.0 * std::f64::consts::PI * s1 * s2 * one_m_r2.sqrt()).ln();
+        let inv = 1.0 / one_m_r2;
+        Self {
+            mu: g.mu,
+            log_peak: w.ln() + log_norm,
+            l11: inv / (s1 * s1),
+            l12: -rho * inv / (s1 * s2),
+            l22: inv / (s2 * s2),
+            log_term: 0.0,
+        }
+    }
+
+    /// `Λₖ(μₖ − x)`, the component's pull towards its mean.
+    fn pull(&self, x: Point) -> (f64, f64) {
+        let (d_lat, d_lon) = (self.mu.lat - x.lat, self.mu.lon - x.lon);
+        (self.l11 * d_lat + self.l12 * d_lon, self.l12 * d_lat + self.l22 * d_lon)
+    }
+}
+
+/// What the search learns at one iterate.
+struct Step {
+    /// Log mixture density at the iterate.
+    log_density: f64,
+    /// The fixed-point displacement, `(Σ rₖΛₖ)⁻¹ Σ rₖΛₖ(μₖ − x)`.
+    fixed_point: (f64, f64),
+    /// The Newton displacement on `ln p`, where `ln p` is locally concave.
+    newton: Option<(f64, f64)>,
+}
+
+/// Solves the symmetric 2×2 system `[[m11, m12], [m12, m22]] · d = b`.
+fn solve2(m11: f64, m12: f64, m22: f64, b: (f64, f64)) -> (f64, f64) {
+    let det = m11 * m22 - m12 * m12;
+    ((m22 * b.0 - m12 * b.1) / det, (m11 * b.1 - m12 * b.0) / det)
+}
+
+/// Evaluates the responsibilities at `x` and both candidate steps.
+///
+/// With unnormalized responsibilities `rₖ = exp(lₖ − max lⱼ)`, `S = Σ rₖ`,
+/// pulls `gₖ = Λₖ(μₖ − x)`, `A = Σ rₖΛₖ`, `b = Σ rₖgₖ` and
+/// `C = Σ rₖgₖgₖᵀ`, the gradient of `ln p` is `b/S` and its Hessian is
+/// `(C − A − bbᵀ/S)/S`. So the fixed-point step is `A⁻¹b` and the Newton
+/// step is `M⁻¹b` with `M = A − C + bbᵀ/S`, valid while `M` is positive
+/// definite. The two coincide when one component owns `x`.
+fn step_at(terms: &mut [ModeTerm], x: Point) -> Step {
+    let mut max = f64::NEG_INFINITY;
+    for t in terms.iter_mut() {
+        let (g_lat, g_lon) = t.pull(x);
+        let quad = (t.mu.lat - x.lat) * g_lat + (t.mu.lon - x.lon) * g_lon;
+        t.log_term = t.log_peak - 0.5 * quad;
+        max = max.max(t.log_term);
+    }
+    let (mut sum, mut a11, mut a12, mut a22) = (0.0, 0.0, 0.0, 0.0);
+    let (mut b_lat, mut b_lon, mut c11, mut c12, mut c22) = (0.0, 0.0, 0.0, 0.0, 0.0);
+    for t in terms.iter() {
+        let r = (t.log_term - max).exp();
+        let (g_lat, g_lon) = t.pull(x);
+        sum += r;
+        a11 += r * t.l11;
+        a12 += r * t.l12;
+        a22 += r * t.l22;
+        b_lat += r * g_lat;
+        b_lon += r * g_lon;
+        c11 += r * g_lat * g_lat;
+        c12 += r * g_lat * g_lon;
+        c22 += r * g_lon * g_lon;
+    }
+    let b = (b_lat, b_lon);
+    let m11 = a11 - c11 + b_lat * b_lat / sum;
+    let m12 = a12 - c12 + b_lat * b_lon / sum;
+    let m22 = a22 - c22 + b_lon * b_lon / sum;
+    let concave = m11 > 0.0 && m11 * m22 - m12 * m12 > 0.0;
+    Step {
+        log_density: max + sum.ln(),
+        fixed_point: solve2(a11, a12, a22, b),
+        newton: concave.then(|| solve2(m11, m12, m22, b)),
+    }
+}
+
+/// Climbs from `x` to the mode of its basin; returns the endpoint and its
+/// log density.
+///
+/// Each iterate takes the Newton step where `ln p` is concave, and the
+/// fixed-point step elsewhere. A Newton step that lowers the density is
+/// replaced by the fixed-point step from the same iterate, which cannot.
+fn climb(terms: &mut [ModeTerm], mut x: Point) -> (f64, Point) {
+    // The last accepted iterate: its log density, position and fixed-point
+    // step.
+    let mut accepted: Option<(f64, Point, (f64, f64))> = None;
+    let mut took_newton = false;
+    for _ in 0..MODE_MAX_ITERS {
+        let step = step_at(terms, x);
+        if let Some((log_density, at, fixed_point)) = accepted {
+            // Monotone guard: the fixed point never lowers the density in
+            // exact arithmetic, so a fixed-point step that did (or produced
+            // NaN) is undone and ends the climb; a Newton step that did is
+            // retaken as the fixed-point step.
+            if step.log_density.is_nan() || step.log_density < log_density - MODE_GUARD_SLACK {
+                if !took_newton {
+                    return (log_density, at);
+                }
+                x = Point::new(at.lat + fixed_point.0, at.lon + fixed_point.1);
+                took_newton = false;
+                continue;
+            }
+        }
+        let (d_lat, d_lon) = step.newton.unwrap_or(step.fixed_point);
+        if d_lat.abs().max(d_lon.abs()) <= MODE_TOL_DEG {
+            return (step.log_density, x);
+        }
+        accepted = Some((step.log_density, x, step.fixed_point));
+        took_newton = step.newton.is_some();
+        x = Point::new(x.lat + d_lat, x.lon + d_lon);
+    }
+    accepted.map_or((f64::NEG_INFINITY, x), |(log_density, at, _)| (log_density, at))
 }
 
 #[cfg(test)]

@@ -122,10 +122,12 @@ proptest! {
     fn mixture_mode_density_at_least_component_means(
         gs in proptest::collection::vec((0.01f64..10.0, arb_gaussian()), 1..5)
     ) {
+        // Every start of the search: each component mean, then the mixture
+        // mean.
         let m = GaussianMixture::new(gs);
         let mode_density = m.pdf(&m.mode());
-        for g in m.components() {
-            prop_assert!(mode_density >= m.pdf(&g.mu) - 1e-12);
+        for start in m.components().iter().map(|g| g.mu).chain([m.mean()]) {
+            prop_assert!(mode_density >= m.pdf(&start) - 1e-12, "start {start:?}");
         }
     }
 

@@ -1,12 +1,17 @@
-//! Accuracy gates for the AVX2 geographic kernels: unlike the bit-for-bit
-//! contract of the `edge-tensor` kernels, the geo kernels replace libm
-//! transcendentals with vector polynomials, so the contract here is a
-//! bounded drift against the scalar reference — tight enough (≤ 1e-9 per
-//! quantity, ≤ 1e-6 km on the end-to-end `mean_km`) that evaluation numbers
-//! are unchanged at reporting precision. On hardware without AVX2 the
-//! kernels fall back to scalar and every bound holds trivially at zero.
+//! Accuracy gates for the geographic hot path.
+//!
+//! * The AVX2 batched haversine replaces libm transcendentals with vector
+//!   polynomials, so unlike the bit-for-bit contract of the `edge-tensor`
+//!   kernels its contract is a bounded drift against the scalar reference —
+//!   tight enough (≤ 1e-9 km per pair, ≤ 1e-6 km on the end-to-end
+//!   `mean_km`) that evaluation numbers are unchanged at reporting
+//!   precision. On hardware without AVX2 it falls back to scalar and every
+//!   bound holds trivially at zero.
+//! * The Eq. 14 mode search has one scalar path. Its properties are checked
+//!   on `mode()` itself: a local maximum at least as dense as every start,
+//!   bitwise the same under the scalar-kernel override, and finite and
+//!   bounded on degenerate mixtures.
 
-use edge_geo::simd::MixtureEval;
 use edge_geo::{with_scalar_kernels, BivariateGaussian, DistanceReport, GaussianMixture, Point};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -50,50 +55,126 @@ proptest! {
         }
     }
 
-    /// The SoA mixture evaluator reproduces the scalar density to 1e-9
-    /// relative (the absolute floor covers the deep-underflow tail where
-    /// the vector exp saturates a few orders before libm's subnormals).
+    /// The mode is a local maximum of the density: no step of a
+    /// millionth of the smallest σ along either axis climbs higher. Along
+    /// a flat axis such a step changes the density by less than its own
+    /// rounding, hence the 1e-14 relative slack; along the sharpest axis
+    /// the slack would hide a mode off by no more than ~h/2.
     #[test]
-    fn mixture_eval_pdf_drift_bounded(mix in arb_mixture(), p in arb_metro_point()) {
-        if let Some(eval) = MixtureEval::new(&mix) {
-            let fast = eval.pdf(&p);
-            let scalar = mix.pdf(&p);
+    fn mode_is_a_local_maximum(mix in arb_mixture()) {
+        let mode = mix.mode();
+        let min_sigma = mix
+            .components()
+            .iter()
+            .map(|g| g.sigma_lat.min(g.sigma_lon))
+            .fold(f64::INFINITY, f64::min);
+        let h = 1e-6 * min_sigma;
+        let peak = mix.pdf(&mode);
+        for (dlat, dlon) in [(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)] {
+            let near = Point::new(mode.lat + dlat, mode.lon + dlon);
             prop_assert!(
-                (fast - scalar).abs() <= 1e-9 * scalar.abs() + 1e-300,
-                "pdf drift {fast} vs {scalar}"
+                peak >= mix.pdf(&near) * (1.0 - 1e-14),
+                "{near:?} is denser than the mode {mode:?}"
             );
         }
     }
 
-    /// Same bound for the weight-summed density gradient the mode search
-    /// consumes.
+    /// There is one search path: the scalar-kernel override changes no bit.
     #[test]
-    fn mixture_eval_grad_drift_bounded(mix in arb_mixture(), p in arb_metro_point()) {
-        if let Some(eval) = MixtureEval::new(&mix) {
-            let (fl, fo) = eval.grad(&p);
-            let (mut sl, mut so) = (0.0, 0.0);
-            for (w, g) in mix.iter() {
-                let (a, b) = g.pdf_grad(&p);
-                sl += w * a;
-                so += w * b;
-            }
-            let scale = sl.abs().max(so.abs()) + 1e-300;
-            prop_assert!((fl - sl).abs() <= 1e-9 * scale, "grad_lat drift {fl} vs {sl}");
-            prop_assert!((fo - so).abs() <= 1e-9 * scale, "grad_lon drift {fo} vs {so}");
-        }
+    fn mode_is_bitwise_equal_under_scalar_kernels(mix in arb_mixture()) {
+        let mode = mix.mode();
+        let scalar = with_scalar_kernels(|| mix.mode());
+        prop_assert_eq!(mode.lat.to_bits(), scalar.lat.to_bits());
+        prop_assert_eq!(mode.lon.to_bits(), scalar.lon.to_bits());
     }
 
-    /// The vectorized mode search lands on a point at least as dense (to
-    /// 1e-6 relative, judged by the *scalar* density) as the scalar
-    /// search's mode, and within a metre of it.
+    /// A lone component's mode is its mean, to 1e-12°.
     #[test]
-    fn mode_drift_bounded(mix in arb_mixture()) {
-        let fast = mix.mode();
-        let scalar_mode = with_scalar_kernels(|| mix.mode());
-        let (df, ds) = with_scalar_kernels(|| (mix.pdf(&fast), mix.pdf(&scalar_mode)));
-        prop_assert!(df >= ds * (1.0 - 1e-6), "mode density {df} vs {ds}");
-        let km = fast.haversine_km(&scalar_mode);
-        prop_assert!(km < 1e-3, "mode moved {km} km: {fast:?} vs {scalar_mode:?}");
+    fn single_component_mode_is_its_mean(g in arb_gaussian()) {
+        let mode = GaussianMixture::single(g).mode();
+        prop_assert!((mode.lat - g.mu.lat).abs() <= 1e-12, "{mode:?} vs {:?}", g.mu);
+        prop_assert!((mode.lon - g.mu.lon).abs() <= 1e-12, "{mode:?} vs {:?}", g.mu);
+    }
+
+    /// A σ = 1e-6 needle beside a σ = 0.3 component: the needle's peak
+    /// density is ~10¹¹ times the wide one's, so the mode is the needle's
+    /// mean to within a thousandth of its σ.
+    #[test]
+    fn mode_finds_a_needle_beside_a_wide_component(
+        needle_at in arb_metro_point(),
+        wide_at in arb_metro_point(),
+        w in 0.05f64..1.0,
+        rho in -0.95f64..0.95,
+    ) {
+        let needle = BivariateGaussian::new(needle_at, 1e-6, 1e-6, rho);
+        let mix = GaussianMixture::new(vec![
+            (w, needle),
+            (1.0, BivariateGaussian::new(wide_at, 0.3, 0.3, -rho)),
+        ]);
+        let mode = mix.mode();
+        prop_assert!(mode.lat.is_finite() && mode.lon.is_finite(), "{mode:?}");
+        let off = (mode.lat - needle_at.lat).abs().max((mode.lon - needle_at.lon).abs());
+        prop_assert!(off <= 1e-9, "mode {mode:?} is {off:e}° off the needle {needle_at:?}");
+    }
+
+    /// Components ≥ 1000σ apart, where linear-space responsibilities
+    /// underflow to 0/0 at the mixture mean: the mode is the mean of the
+    /// component with the highest peak `πₖ·normₖ`, to 1e-12°.
+    #[test]
+    fn mode_of_far_apart_components_is_the_highest_peak(
+        parts in proptest::collection::vec((0.05f64..1.0, 0.005f64..0.03, 0.005f64..0.03), 2..5),
+        gap in 1000.0f64..2000.0,
+    ) {
+        let widest = parts.iter().map(|p| p.1.max(p.2)).fold(0.0, f64::max);
+        let mix = GaussianMixture::new(
+            parts
+                .iter()
+                .enumerate()
+                .map(|(k, &(w, s1, s2))| {
+                    let mu = Point::new(0.0, -60.0 + k as f64 * gap * widest);
+                    (w, BivariateGaussian::new(mu, s1, s2, 0.0))
+                })
+                .collect(),
+        );
+        let highest = mix
+            .iter()
+            .max_by(|a, b| (a.0 * a.1.pdf(&a.1.mu)).total_cmp(&(b.0 * b.1.pdf(&b.1.mu))))
+            .expect("non-empty")
+            .1
+            .mu;
+        let mode = mix.mode();
+        prop_assert!((mode.lat - highest.lat).abs() <= 1e-12, "{mode:?} vs {highest:?}");
+        prop_assert!((mode.lon - highest.lon).abs() <= 1e-12, "{mode:?} vs {highest:?}");
+    }
+
+    /// |ρ| = 1 − 1e-6, the constructor's clamp: a near-singular component
+    /// beside a regular one. The mode stays finite, within 5σ of a
+    /// component mean, and at least as dense (in log space, to 1e-9) as
+    /// every start.
+    #[test]
+    fn mode_survives_near_singular_correlation(
+        g in arb_gaussian(),
+        at in arb_metro_point(),
+        s1 in 0.005f64..0.3,
+        s2 in 0.005f64..0.3,
+        negative in any::<bool>(),
+        w in 0.05f64..1.0,
+    ) {
+        let rho = if negative { -(1.0 - 1e-6) } else { 1.0 - 1e-6 };
+        let thin = BivariateGaussian::new(at, s1, s2, rho);
+        prop_assert_eq!(thin.rho.abs(), 1.0 - 1e-6);
+        let mix = GaussianMixture::new(vec![(w, thin), (1.0, g)]);
+        let mode = mix.mode();
+        prop_assert!(mode.lat.is_finite() && mode.lon.is_finite(), "{mode:?}");
+        let near_a_mean = mix.components().iter().any(|c| {
+            (mode.lat - c.mu.lat).abs() <= 5.0 * c.sigma_lat
+                && (mode.lon - c.mu.lon).abs() <= 5.0 * c.sigma_lon
+        });
+        prop_assert!(near_a_mean, "mode {mode:?} is far from every component");
+        let at_mode = mix.log_pdf(&mode);
+        for start in mix.components().iter().map(|c| c.mu).chain([mix.mean()]) {
+            prop_assert!(at_mode >= mix.log_pdf(&start) - 1e-9, "start {start:?}");
+        }
     }
 }
 

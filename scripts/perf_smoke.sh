@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Perf smoke gate for the zero-allocation training hot path.
 #
-# 1. Runs the counting-allocator tests: a steady-state training batch, and
-#    a warm cache-hit text on the two-shard serving parse path (route,
-#    resolve, cache probe), must each perform exactly zero heap allocations.
+# 1. Runs the counting-allocator tests: a steady-state training batch, a
+#    warm cache-hit text on the two-shard serving parse path (route,
+#    resolve, cache probe), and a steady-state Eq. 14 mode search on a
+#    4-component mixture must each perform exactly zero heap allocations.
 # 2. Runs the smoke pipeline bench with alloc-stats compiled in and checks
 #    the speedup legs: every arena leg reports 0 allocations per batch, the
 #    fresh-alloc reference leg reports plenty, and the pooled train loop has
@@ -17,6 +18,8 @@ echo "== zero-allocation steady state =="
 cargo test --release -p edge-core --features alloc-stats --test zero_alloc \
     -- --test-threads=1
 cargo test --release -p edge-bench --features alloc-stats --test zero_alloc_parse \
+    -- --test-threads=1
+cargo test --release -p edge-bench --features alloc-stats --test zero_alloc_mode \
     -- --test-threads=1
 
 echo "== speedup legs =="
