@@ -19,6 +19,8 @@
 //! `tests/simd_accuracy.rs` are a real check of the algorithm, not of a
 //! constant table. The final `asin` of the haversine stays scalar libm: it
 //! runs once per pair, after the vector passes have done the heavy lifting.
+//! Near-antipodal pairs, where `asin` would amplify the polynomials'
+//! rounding past the gate, are finished with the whole scalar formula.
 //!
 //! Detection is shared with `edge-tensor` through `edge-par`: one cached
 //! `is_x86_feature_detected!` probe, one `EDGE_NO_SIMD` escape hatch, and
@@ -30,11 +32,19 @@ use crate::point::Point;
 
 pub use edge_par::{simd_active, simd_available, with_scalar_kernels};
 
+/// `asin` argument from which a pair is finished with the scalar formula
+/// (distances beyond ~11,800 km). `asin`'s slope 1/√(1−x²) is 1.7 here
+/// and unbounded towards 1, so near-antipodal pairs would amplify the
+/// vector `sin`/`cos` error past the 1e-9 km drift gate; with this cut the
+/// largest drift over 2M random pairs is 4.5e-10 km.
+const SCALAR_FINISH_ASIN_ARG: f64 = 0.8;
+
 /// Haversine distances for a batch of `(predicted, truth)` pairs, in km.
 ///
 /// With the vector kernels active the degree→radian conversion, the
 /// `sin`/`cos` evaluations and the haversine algebra run four pairs at a
-/// time; the final `2R·asin(√a)` is one scalar libm call per pair. Without
+/// time; the final `2R·asin(√a)` is one scalar libm call per pair, and a
+/// near-antipodal pair is recomputed with [`Point::haversine_km`]. Without
 /// them this is exactly the scalar [`Point::haversine_km`] map.
 pub fn haversine_km_batch(pairs: &[(Point, Point)]) -> Vec<f64> {
     #[cfg(target_arch = "x86_64")]
@@ -43,8 +53,12 @@ pub fn haversine_km_batch(pairs: &[(Point, Point)]) -> Vec<f64> {
         let mut i = 0;
         while i + 4 <= pairs.len() {
             let asin_arg = unsafe { avx2::haversine4_asin_arg(&pairs[i..i + 4]) };
-            for (o, arg) in out[i..i + 4].iter_mut().zip(asin_arg) {
-                *o = 2.0 * crate::EARTH_RADIUS_KM * arg.asin();
+            for ((o, arg), (p, t)) in out[i..i + 4].iter_mut().zip(asin_arg).zip(&pairs[i..i + 4]) {
+                *o = if arg < SCALAR_FINISH_ASIN_ARG {
+                    2.0 * crate::EARTH_RADIUS_KM * arg.asin()
+                } else {
+                    p.haversine_km(t)
+                };
             }
             i += 4;
         }

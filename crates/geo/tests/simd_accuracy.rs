@@ -213,6 +213,30 @@ fn distance_report_mean_km_drift_under_1e6() {
     assert_eq!(fast.n, scalar.n);
 }
 
+/// Near-antipodal pairs: `asin`'s slope 1/√(1−x²) grows without bound as
+/// its argument nears 1, so any rounding in the vector sin/cos passes
+/// would be amplified past the gate here. Deterministic pairs at offsets
+/// from 1° down to exactly antipodal, in batches of four so every pair
+/// takes the vector path where it is active.
+#[test]
+fn near_antipodal_pairs_stay_within_the_drift_gate() {
+    let mut pairs = Vec::new();
+    for (lat, lon) in [(0.0, 0.0), (40.7, -74.0), (-33.9, 151.2), (89.5, 10.0), (12.3, 179.9)] {
+        let p = Point::new(lat, lon);
+        let antipode_lon = if lon > 0.0 { lon - 180.0 } else { lon + 180.0 };
+        for eps in [1.0, 1e-2, 1e-4, 1e-6, 1e-8, 0.0] {
+            pairs.push((p, Point::new(-lat + eps, antipode_lon)));
+            pairs.push((p, Point::new(-lat, antipode_lon - eps)));
+            pairs.push((p, Point::new(-lat - eps * 0.5, antipode_lon + eps * 0.7)));
+            pairs.push((Point::new(-lat, antipode_lon), Point::new(lat - eps, lon)));
+        }
+    }
+    for ((p, t), fast) in pairs.iter().zip(edge_geo::haversine_km_batch(&pairs)) {
+        let scalar = p.haversine_km(t);
+        assert!((fast - scalar).abs() < 1e-9, "drift {fast} vs {scalar} for {p:?} -> {t:?}");
+    }
+}
+
 /// `with_scalar_kernels` really disables the vector path: inside the
 /// closure the batch API must be the exact scalar map, bit for bit.
 #[test]

@@ -1,216 +1,116 @@
-//! Labeled metric families: counters, gauges, and histograms keyed by a
-//! small static label set (`endpoint`, `status`, `stage`, ...).
+//! Metric families: counters, gauges, and histograms keyed by a small
+//! label set (`endpoint`, `status`, `stage`, `shard`, ...).
 //!
-//! A family is registered once by name; each distinct label combination
-//! resolves to a leaked `&'static` cell, so the hot path is exactly the
-//! same relaxed atomic op as the unlabeled metrics in [`crate::metrics`].
-//! Resolution (`with`) takes a lock — call it once at startup and keep the
-//! returned handle (the serving layer pre-resolves its whole
-//! endpoint × status grid into a struct of handles).
+//! Every metric lives in a [`Family`] in the one registry of
+//! [`crate::metrics`]; an unlabeled metric (`counter!`, `gauge!`,
+//! `histogram!`) is its family's empty-label cell. Each distinct label
+//! combination resolves to a leaked `&'static` cell, so the hot path is
+//! one relaxed atomic op. Resolution (`with`) takes a lock and copies the
+//! labels into the family: call it once at startup and keep the returned
+//! handle (the serving layer pre-resolves its whole endpoint × status
+//! grid into a struct of handles).
 
-use serde::Serialize;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use serde::{Serialize, Value};
+use std::sync::{Mutex, MutexGuard};
 
-use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::metrics::{family, Counter, Gauge, Histogram};
 
-/// One label combination: `(key, value)` pairs in declaration order.
-pub type LabelPairs = Vec<(&'static str, &'static str)>;
+/// One label combination: owned `(key, value)` pairs in declaration order.
+pub type Labels = Vec<(String, String)>;
 
-macro_rules! family {
-    ($Family:ident, $Metric:ident, $doc:literal) => {
-        #[doc = $doc]
-        pub struct $Family {
-            name: &'static str,
-            help: &'static str,
-            cells: Mutex<HashMap<LabelPairs, &'static $Metric>>,
-        }
-
-        impl $Family {
-            fn new(name: &'static str, help: &'static str) -> Self {
-                Self { name, help, cells: Mutex::new(HashMap::new()) }
-            }
-
-            /// Resolves (or creates) the cell for `labels`. Takes a lock:
-            /// resolve once and cache the `&'static` handle on hot paths.
-            pub fn with(&self, labels: &[(&'static str, &'static str)]) -> &'static $Metric {
-                let mut cells = self.cells.lock().unwrap();
-                if let Some(cell) = cells.get(labels) {
-                    return cell;
-                }
-                let handle: &'static $Metric = Box::leak(Box::default());
-                cells.insert(labels.to_vec(), handle);
-                handle
-            }
-
-            pub fn name(&self) -> &'static str {
-                self.name
-            }
-
-            pub fn help(&self) -> &'static str {
-                self.help
-            }
-
-            fn cells(&self) -> Vec<(LabelPairs, &'static $Metric)> {
-                let mut cells: Vec<_> =
-                    self.cells.lock().unwrap().iter().map(|(k, v)| (k.clone(), *v)).collect();
-                cells.sort_by(|a, b| a.0.cmp(&b.0));
-                cells
-            }
-        }
-    };
+/// One cell per label combination.
+pub struct Family<M: 'static> {
+    name: &'static str,
+    help: String,
+    cells: Mutex<Vec<(Labels, &'static M)>>,
 }
 
-family!(CounterFamily, Counter, "A counter family: one [`Counter`] per label combination.");
-family!(GaugeFamily, Gauge, "A gauge family: one [`Gauge`] per label combination.");
-family!(HistogramFamily, Histogram, "A histogram family: one [`Histogram`] per label combination.");
-
-#[derive(Default)]
-struct LabeledRegistry {
-    counters: Mutex<HashMap<&'static str, &'static CounterFamily>>,
-    gauges: Mutex<HashMap<&'static str, &'static GaugeFamily>>,
-    histograms: Mutex<HashMap<&'static str, &'static HistogramFamily>>,
+fn same_labels(have: &[(String, String)], want: &[(&str, &str)]) -> bool {
+    have.len() == want.len()
+        && have.iter().zip(want).all(|((hk, hv), (wk, wv))| hk == wk && hv == wv)
 }
 
-fn registry() -> &'static LabeledRegistry {
-    static REGISTRY: OnceLock<LabeledRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(LabeledRegistry::default)
+impl<M: Default + 'static> Family<M> {
+    pub(crate) fn new(name: &'static str, help: String) -> Self {
+        Family { name, help, cells: Mutex::new(Vec::new()) }
+    }
+
+    /// Resolves (or creates) the cell for `labels`. Takes a lock:
+    /// resolve once and cache the `&'static` handle on hot paths.
+    pub fn with(&self, labels: &[(&str, &str)]) -> &'static M {
+        let mut cells = self.cells();
+        if let Some(&(_, cell)) = cells.iter().find(|(have, _)| same_labels(have, labels)) {
+            return cell;
+        }
+        let cell: &'static M = Box::leak(Box::default());
+        cells.push((labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect(), cell));
+        cell
+    }
+
+    fn cells(&self) -> MutexGuard<'_, Vec<(Labels, &'static M)>> {
+        self.cells.lock().expect("no family user panics holding the lock")
+    }
+
+    pub fn help(&self) -> &str {
+        &self.help
+    }
+
+    /// Copies the family, reading each cell with `value`; cells sort by labels.
+    pub(crate) fn snapshot<V>(&self, value: impl Fn(&M) -> V) -> FamilySnapshot<V> {
+        let mut cells: Vec<(Labels, V)> =
+            self.cells().iter().map(|(labels, cell)| (labels.clone(), value(cell))).collect();
+        cells.sort_by(|a, b| a.0.cmp(&b.0));
+        FamilySnapshot { name: self.name.to_string(), help: self.help.clone(), cells }
+    }
+
+    pub(crate) fn for_each_cell(&self, f: impl Fn(&M)) {
+        self.cells().iter().for_each(|(_, cell)| f(cell));
+    }
 }
 
 /// Looks up or creates the counter family `name` (`help` is kept from the
 /// first registration).
-pub fn counter_family(name: &'static str, help: &'static str) -> &'static CounterFamily {
-    let mut map = registry().counters.lock().unwrap();
-    map.entry(name).or_insert_with(|| Box::leak(Box::new(CounterFamily::new(name, help))))
+///
+/// # Panics
+/// If another name or kind already exposes as `name`'s OpenMetrics form.
+pub fn counter_family(name: &'static str, help: &'static str) -> &'static Family<Counter> {
+    family(name, Some(help))
 }
 
 /// Looks up or creates the gauge family `name`.
-pub fn gauge_family(name: &'static str, help: &'static str) -> &'static GaugeFamily {
-    let mut map = registry().gauges.lock().unwrap();
-    map.entry(name).or_insert_with(|| Box::leak(Box::new(GaugeFamily::new(name, help))))
+pub fn gauge_family(name: &'static str, help: &'static str) -> &'static Family<Gauge> {
+    family(name, Some(help))
 }
 
 /// Looks up or creates the histogram family `name`.
-pub fn histogram_family(name: &'static str, help: &'static str) -> &'static HistogramFamily {
-    let mut map = registry().histograms.lock().unwrap();
-    map.entry(name).or_insert_with(|| Box::leak(Box::new(HistogramFamily::new(name, help))))
+pub fn histogram_family(name: &'static str, help: &'static str) -> &'static Family<Histogram> {
+    family(name, Some(help))
 }
 
-// ---------------------------------------------------------------------------
-// Snapshots
-// ---------------------------------------------------------------------------
-
-/// One labeled counter cell in a snapshot.
-#[derive(Debug, Clone, Serialize)]
-pub struct LabeledCounterCell {
-    pub labels: Vec<(String, String)>,
-    pub value: u64,
-}
-
-/// One labeled gauge cell in a snapshot.
-#[derive(Debug, Clone, Serialize)]
-pub struct LabeledGaugeCell {
-    pub labels: Vec<(String, String)>,
-    pub value: f64,
-}
-
-/// One labeled histogram cell in a snapshot.
-#[derive(Debug, Clone, Serialize)]
-pub struct LabeledHistogramCell {
-    pub labels: Vec<(String, String)>,
-    pub value: HistogramSnapshot,
-}
-
-/// Point-in-time copy of one counter family.
-#[derive(Debug, Clone, Serialize)]
-pub struct CounterFamilySnapshot {
+/// Point-in-time copy of one family: `(labels, value)` per cell, sorted by
+/// labels.
+#[derive(Debug, Clone)]
+pub struct FamilySnapshot<V> {
     pub name: String,
     pub help: String,
-    pub cells: Vec<LabeledCounterCell>,
+    pub cells: Vec<(Labels, V)>,
 }
 
-/// Point-in-time copy of one gauge family.
-#[derive(Debug, Clone, Serialize)]
-pub struct GaugeFamilySnapshot {
-    pub name: String,
-    pub help: String,
-    pub cells: Vec<LabeledGaugeCell>,
+impl<V> FamilySnapshot<V> {
+    /// The cell whose labels are exactly `labels`.
+    pub(crate) fn cell(&self, labels: &[(&str, &str)]) -> Option<&V> {
+        self.cells.iter().find(|(have, _)| same_labels(have, labels)).map(|(_, v)| v)
+    }
 }
 
-/// Point-in-time copy of one histogram family.
-#[derive(Debug, Clone, Serialize)]
-pub struct HistogramFamilySnapshot {
-    pub name: String,
-    pub help: String,
-    pub cells: Vec<LabeledHistogramCell>,
-}
-
-fn owned(labels: &LabelPairs) -> Vec<(String, String)> {
-    labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect()
-}
-
-/// Appends every labeled family to `snap` (called by [`crate::metrics::snapshot`]).
-pub(crate) fn snapshot_into(snap: &mut crate::metrics::MetricsSnapshot) {
-    let reg = registry();
-    for family in reg.counters.lock().unwrap().values() {
-        snap.counter_families.push(CounterFamilySnapshot {
-            name: family.name.to_string(),
-            help: family.help.to_string(),
-            cells: family
-                .cells()
-                .iter()
-                .map(|(labels, c)| LabeledCounterCell { labels: owned(labels), value: c.get() })
-                .collect(),
-        });
-    }
-    for family in reg.gauges.lock().unwrap().values() {
-        snap.gauge_families.push(GaugeFamilySnapshot {
-            name: family.name.to_string(),
-            help: family.help.to_string(),
-            cells: family
-                .cells()
-                .iter()
-                .map(|(labels, g)| LabeledGaugeCell { labels: owned(labels), value: g.get() })
-                .collect(),
-        });
-    }
-    for family in reg.histograms.lock().unwrap().values() {
-        snap.histogram_families.push(HistogramFamilySnapshot {
-            name: family.name.to_string(),
-            help: family.help.to_string(),
-            cells: family
-                .cells()
-                .iter()
-                .map(|(labels, h)| LabeledHistogramCell {
-                    labels: owned(labels),
-                    value: h.snapshot(),
-                })
-                .collect(),
-        });
-    }
-    snap.counter_families.sort_by(|a, b| a.name.cmp(&b.name));
-    snap.gauge_families.sort_by(|a, b| a.name.cmp(&b.name));
-    snap.histogram_families.sort_by(|a, b| a.name.cmp(&b.name));
-}
-
-/// Zeroes every cell of every family (names and cells stay registered).
-/// Called by [`crate::metrics::reset`].
-pub(crate) fn reset_all() {
-    let reg = registry();
-    for family in reg.counters.lock().unwrap().values() {
-        for (_, c) in family.cells() {
-            c.reset();
-        }
-    }
-    for family in reg.gauges.lock().unwrap().values() {
-        for (_, g) in family.cells() {
-            g.reset();
-        }
-    }
-    for family in reg.histograms.lock().unwrap().values() {
-        for (_, h) in family.cells() {
-            h.reset();
-        }
+// Written out because the derive does not take generic types.
+impl<V: Serialize> Serialize for FamilySnapshot<V> {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("name".to_string(), self.name.to_value()),
+            ("help".to_string(), self.help.to_value()),
+            ("cells".to_string(), self.cells.to_value()),
+        ])
     }
 }
 
@@ -234,5 +134,31 @@ mod tests {
         let b = counter_family("labels.test.once", "ignored");
         assert!(std::ptr::eq(a, b));
         assert_eq!(a.help(), "first help wins");
+    }
+
+    #[test]
+    fn an_unlabeled_metric_is_its_familys_empty_label_cell() {
+        let fam = counter_family("labels.test.unlabeled", "test");
+        assert!(std::ptr::eq(crate::metrics::counter("labels.test.unlabeled"), fam.with(&[])));
+        let owned = String::from("runtime");
+        let cell = fam.with(&[("shard", &owned)]);
+        assert!(std::ptr::eq(cell, fam.with(&[("shard", "runtime")])));
+    }
+
+    #[test]
+    fn a_name_that_exposes_like_another_is_refused_naming_both() {
+        use std::panic::catch_unwind;
+        crate::metrics::counter("labels.test.collide");
+        for refused in [
+            catch_unwind(|| crate::metrics::counter("labels_test_collide")).map(|_| ()),
+            catch_unwind(|| crate::metrics::gauge("labels.test.collide")).map(|_| ()),
+            catch_unwind(|| histogram_family("labels-test-collide", "test")).map(|_| ()),
+        ] {
+            let msg = *refused.expect_err("must panic").downcast::<String>().unwrap();
+            assert!(msg.contains("\"labels.test.collide\"") && msg.contains("labels_test_collide"));
+        }
+        // The refusals left the registry as it was.
+        let cell = counter_family("labels.test.collide", "").with(&[]);
+        assert!(std::ptr::eq(crate::metrics::counter("labels.test.collide"), cell));
     }
 }

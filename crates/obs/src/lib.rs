@@ -3,8 +3,11 @@
 //! A small, dependency-light observability layer shared by every crate in the
 //! workspace. It has three pillars:
 //!
-//! * **Metrics** ([`metrics`]): a global registry of named counters, gauges,
-//!   and log-scale histograms. The hot path is lock-free — an increment is a
+//! * **Metrics** ([`metrics`], [`labels`]): one global registry of metric
+//!   families — counters, gauges, and log-scale histograms, one cell per
+//!   label set, an unlabeled metric being its family's empty-label cell.
+//!   Names that would expose as the same OpenMetrics family are refused at
+//!   registration. The hot path is lock-free — an increment is a
 //!   relaxed atomic add on a handle cached at the call site via the
 //!   [`counter!`] / [`gauge!`] / [`histogram!`] macros — and compiles down to
 //!   a single branch on a relaxed load when metrics are disabled (the

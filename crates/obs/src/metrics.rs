@@ -1,13 +1,19 @@
 //! Global metrics registry: counters, gauges, and log-scale histograms.
 //!
-//! Handles are `&'static` references to atomics; the [`counter!`](crate::counter!),
-//! [`gauge!`](crate::gauge!), and [`histogram!`](crate::histogram!) macros cache the registry lookup in a
+//! The registry holds one [`Family`] per name; an unlabeled metric is its
+//! family's empty-label cell, and labeled cells come from
+//! [`crate::labels`]. Handles are `&'static` references to atomics; the
+//! [`counter!`](crate::counter!), [`gauge!`](crate::gauge!), and
+//! [`histogram!`](crate::histogram!) macros cache the registry lookup in a
 //! call-site `OnceLock`, so steady-state recording never touches a lock.
 
 use serde::Serialize;
-use std::collections::HashMap;
+use std::any::Any;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard};
+
+use crate::labels::{Family, FamilySnapshot};
 
 /// Number of histogram buckets. Bucket `i` covers values in
 /// `[2^(i - UNDERFLOW_EXP), 2^(i - UNDERFLOW_EXP + 1))`; the first and last
@@ -232,37 +238,86 @@ impl HistogramSnapshot {
 // Registry
 // ---------------------------------------------------------------------------
 
-/// Name → metric maps. `Box::leak` gives out `&'static` handles so the hot
-/// path after the first lookup is a direct atomic op with no locking.
-#[derive(Default)]
-struct Registry {
-    counters: Mutex<HashMap<&'static str, &'static Counter>>,
-    gauges: Mutex<HashMap<&'static str, &'static Gauge>>,
-    histograms: Mutex<HashMap<&'static str, &'static Histogram>>,
+/// A metric type a [`Family`] can hold: [`Counter`], [`Gauge`] or
+/// [`Histogram`].
+pub(crate) trait Metric: Default + Send + Sync + 'static {
+    /// The kind's name, as in an unlabeled family's generated help text.
+    const KIND: &'static str;
 }
 
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::default)
+impl Metric for Counter {
+    const KIND: &'static str = "Counter";
 }
 
-/// Look up or create the counter `name`. Prefer the [`counter!`](crate::counter!) macro, which
-/// caches this lookup at the call site.
+impl Metric for Gauge {
+    const KIND: &'static str = "Gauge";
+}
+
+impl Metric for Histogram {
+    const KIND: &'static str = "Histogram";
+}
+
+/// One registered family, type-erased; `kind` names its cell type.
+#[derive(Clone, Copy)]
+struct Entry {
+    name: &'static str,
+    kind: &'static str,
+    family: &'static (dyn Any + Send + Sync),
+}
+
+/// The one metric registry: every family keyed by its OpenMetrics name,
+/// so two names that would expose as one family cannot both register.
+/// Families and cells are leaked, which gives out `&'static` handles: the
+/// hot path after the first lookup is a direct atomic op with no locking.
+static REGISTRY: Mutex<BTreeMap<String, Entry>> = Mutex::new(BTreeMap::new());
+
+fn registry() -> MutexGuard<'static, BTreeMap<String, Entry>> {
+    REGISTRY.lock().expect("no registry user panics holding the lock")
+}
+
+/// Looks up or registers the family `name` of `M` cells. `help` is kept
+/// from the first registration; `None` (an unlabeled metric) generates
+/// one from the kind and name.
+///
+/// # Panics
+/// If a different name, or the same name with another kind, already
+/// holds the OpenMetrics form of `name`: the exposition could not tell
+/// the two apart.
+pub(crate) fn family<M: Metric>(
+    name: &'static str,
+    help: Option<&'static str>,
+) -> &'static Family<M> {
+    let exposed = crate::openmetrics::sanitize_name(name);
+    let entry = *registry().entry(exposed.clone()).or_insert_with(|| {
+        let help = help.map_or_else(|| format!("{} {exposed}.", M::KIND), str::to_string);
+        Entry { name, kind: M::KIND, family: Box::leak(Box::new(Family::<M>::new(name, help))) }
+    });
+    match entry.family.downcast_ref::<Family<M>>() {
+        Some(family) if entry.name == name => family,
+        _ => panic!(
+            "metric {name:?} ({}) collides with {:?} ({}): both expose as {exposed:?}",
+            M::KIND,
+            entry.name,
+            entry.kind
+        ),
+    }
+}
+
+/// Looks up or creates the counter `name`: the `&[]` cell of its family.
+/// Prefer the [`counter!`](crate::counter!) macro, which caches this
+/// lookup at the call site.
 pub fn counter(name: &'static str) -> &'static Counter {
-    let mut map = registry().counters.lock().unwrap();
-    map.entry(name).or_insert_with(|| Box::leak(Box::default()))
+    family(name, None).with(&[])
 }
 
-/// Look up or create the gauge `name`. Prefer the [`gauge!`](crate::gauge!) macro.
+/// Looks up or creates the gauge `name`. Prefer the [`gauge!`](crate::gauge!) macro.
 pub fn gauge(name: &'static str) -> &'static Gauge {
-    let mut map = registry().gauges.lock().unwrap();
-    map.entry(name).or_insert_with(|| Box::leak(Box::default()))
+    family(name, None).with(&[])
 }
 
-/// Look up or create the histogram `name`. Prefer the [`histogram!`](crate::histogram!) macro.
+/// Looks up or creates the histogram `name`. Prefer the [`histogram!`](crate::histogram!) macro.
 pub fn histogram(name: &'static str) -> &'static Histogram {
-    let mut map = registry().histograms.lock().unwrap();
-    map.entry(name).or_insert_with(|| Box::leak(Box::default()))
+    family(name, None).with(&[])
 }
 
 /// Call-site-cached counter handle: `counter!("tensor.matmul.calls").inc(1)`.
@@ -294,38 +349,43 @@ macro_rules! histogram {
     }};
 }
 
-/// Point-in-time copy of every registered metric, sorted by name. Labeled
-/// families ([`crate::labels`]) ride along so one snapshot covers the whole
-/// registry.
+/// Point-in-time copy of every registered family, one list per kind,
+/// each sorted by OpenMetrics name. An unlabeled metric is its family's
+/// empty-label cell.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct MetricsSnapshot {
-    pub counters: Vec<(String, u64)>,
-    pub gauges: Vec<(String, f64)>,
-    pub histograms: Vec<(String, HistogramSnapshot)>,
-    pub counter_families: Vec<crate::labels::CounterFamilySnapshot>,
-    pub gauge_families: Vec<crate::labels::GaugeFamilySnapshot>,
-    pub histogram_families: Vec<crate::labels::HistogramFamilySnapshot>,
+    pub counters: Vec<FamilySnapshot<u64>>,
+    pub gauges: Vec<FamilySnapshot<f64>>,
+    pub histograms: Vec<FamilySnapshot<HistogramSnapshot>>,
+}
+
+fn cell<'a, V>(
+    families: &'a [FamilySnapshot<V>],
+    name: &str,
+    labels: &[(&str, &str)],
+) -> Option<&'a V> {
+    families.iter().find(|f| f.name == name)?.cell(labels)
 }
 
 impl MetricsSnapshot {
+    /// Value of the unlabeled counter `name`.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+        cell(&self.counters, name, &[]).copied()
     }
 
+    /// Value of the unlabeled gauge `name`.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+        cell(&self.gauges, name, &[]).copied()
     }
 
+    /// The unlabeled histogram `name`.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
+        cell(&self.histograms, name, &[])
     }
 
     /// Value of one labeled counter cell (exact label match).
     pub fn labeled_counter(&self, family: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        self.counter_families
-            .iter()
-            .find(|f| f.name == family)
-            .and_then(|f| f.cells.iter().find(|c| label_match(&c.labels, labels)).map(|c| c.value))
+        cell(&self.counters, family, labels).copied()
     }
 
     /// One labeled histogram cell (exact label match).
@@ -334,22 +394,25 @@ impl MetricsSnapshot {
         family: &str,
         labels: &[(&str, &str)],
     ) -> Option<&HistogramSnapshot> {
-        self.histogram_families
-            .iter()
-            .find(|f| f.name == family)
-            .and_then(|f| f.cells.iter().find(|c| label_match(&c.labels, labels)).map(|c| &c.value))
+        cell(&self.histograms, family, labels)
     }
 
     /// Human-readable one-metric-per-line rendering.
     pub fn render(&self) -> String {
+        fn cells<V>(families: &[FamilySnapshot<V>]) -> impl Iterator<Item = (String, &V)> {
+            families.iter().flat_map(|f| {
+                let label = |labels| crate::openmetrics::label_block(labels, None);
+                f.cells.iter().map(move |(labels, v)| (format!("{}{}", f.name, label(labels)), v))
+            })
+        }
         let mut out = String::new();
-        for (name, v) in &self.counters {
+        for (name, v) in cells(&self.counters) {
             out.push_str(&format!("counter   {name:<44} {v}\n"));
         }
-        for (name, v) in &self.gauges {
+        for (name, v) in cells(&self.gauges) {
             out.push_str(&format!("gauge     {name:<44} {v}\n"));
         }
-        for (name, h) in &self.histograms {
+        for (name, h) in cells(&self.histograms) {
             out.push_str(&format!(
                 "histogram {name:<44} count={} sum={:.4} mean={:.6}\n",
                 h.count,
@@ -357,77 +420,38 @@ impl MetricsSnapshot {
                 h.mean()
             ));
         }
-        let labels_of = |labels: &[(String, String)]| {
-            let pairs: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-            format!("{{{}}}", pairs.join(","))
-        };
-        for fam in &self.counter_families {
-            for cell in &fam.cells {
-                let name = format!("{}{}", fam.name, labels_of(&cell.labels));
-                out.push_str(&format!("counter   {name:<44} {}\n", cell.value));
-            }
-        }
-        for fam in &self.gauge_families {
-            for cell in &fam.cells {
-                let name = format!("{}{}", fam.name, labels_of(&cell.labels));
-                out.push_str(&format!("gauge     {name:<44} {}\n", cell.value));
-            }
-        }
-        for fam in &self.histogram_families {
-            for cell in &fam.cells {
-                let name = format!("{}{}", fam.name, labels_of(&cell.labels));
-                let h = &cell.value;
-                out.push_str(&format!(
-                    "histogram {name:<44} count={} sum={:.4} mean={:.6}\n",
-                    h.count,
-                    h.sum,
-                    h.mean()
-                ));
-            }
-        }
         out
     }
 }
 
-fn label_match(cell: &[(String, String)], want: &[(&str, &str)]) -> bool {
-    cell.len() == want.len()
-        && cell.iter().zip(want).all(|((ck, cv), (wk, wv))| ck == wk && cv == wv)
-}
-
-/// Snapshot every registered metric.
+/// Snapshot every registered family.
 pub fn snapshot() -> MetricsSnapshot {
-    let reg = registry();
     let mut snap = MetricsSnapshot::default();
-    for (name, c) in reg.counters.lock().unwrap().iter() {
-        snap.counters.push((name.to_string(), c.get()));
+    for entry in registry().values() {
+        let family = entry.family;
+        if let Some(f) = family.downcast_ref::<Family<Counter>>() {
+            snap.counters.push(f.snapshot(Counter::get));
+        } else if let Some(f) = family.downcast_ref::<Family<Gauge>>() {
+            snap.gauges.push(f.snapshot(Gauge::get));
+        } else if let Some(f) = family.downcast_ref::<Family<Histogram>>() {
+            snap.histograms.push(f.snapshot(Histogram::snapshot));
+        }
     }
-    for (name, g) in reg.gauges.lock().unwrap().iter() {
-        snap.gauges.push((name.to_string(), g.get()));
-    }
-    for (name, h) in reg.histograms.lock().unwrap().iter() {
-        snap.histograms.push((name.to_string(), h.snapshot()));
-    }
-    snap.counters.sort();
-    snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-    snap.histograms.sort_by(|a, b| a.0.cmp(&b.0));
-    crate::labels::snapshot_into(&mut snap);
     snap
 }
 
-/// Zero every registered metric, labeled families included (names stay
-/// registered).
+/// Zero every cell of every family (names and cells stay registered).
 pub fn reset() {
-    let reg = registry();
-    for c in reg.counters.lock().unwrap().values() {
-        c.reset();
+    for entry in registry().values() {
+        let family = entry.family;
+        if let Some(f) = family.downcast_ref::<Family<Counter>>() {
+            f.for_each_cell(Counter::reset);
+        } else if let Some(f) = family.downcast_ref::<Family<Gauge>>() {
+            f.for_each_cell(Gauge::reset);
+        } else if let Some(f) = family.downcast_ref::<Family<Histogram>>() {
+            f.for_each_cell(Histogram::reset);
+        }
     }
-    for g in reg.gauges.lock().unwrap().values() {
-        g.reset();
-    }
-    for h in reg.histograms.lock().unwrap().values() {
-        h.reset();
-    }
-    crate::labels::reset_all();
 }
 
 #[cfg(test)]

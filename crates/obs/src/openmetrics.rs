@@ -7,9 +7,12 @@
 //! terminating `# EOF`. Metric names are sanitized (`.`/`-` → `_`) to the
 //! OpenMetrics charset. The parser is the tiny in-repo consumer used by
 //! `edge-cli top`, the exposition tests, and CI's obs-smoke gate — strict
-//! enough to reject a malformed scrape (bad sample line, missing `# EOF`),
-//! small enough to audit.
+//! enough to reject a malformed scrape (bad sample line, a family declared
+//! twice, missing `# EOF`), small enough to audit. Each registry family
+//! renders as one exposition family, plus three quantile gauge families
+//! per histogram.
 
+use crate::labels::{FamilySnapshot, Labels};
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 
 /// The `Content-Type` a compliant scraper expects from `/metrics`.
@@ -50,7 +53,7 @@ fn escape_label_value(value: &str) -> String {
     out
 }
 
-fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
+pub(crate) fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
     let mut pairs: Vec<String> = labels
         .iter()
         .map(|(k, v)| format!("{}=\"{}\"", sanitize_name(k), escape_label_value(v)))
@@ -106,11 +109,7 @@ fn render_histogram(
     out.push_str(&format!("{name}_sum{} {}\n", label_block(labels, None), fmt_value(h.sum)));
 }
 
-fn render_histogram_quantiles(
-    out: &mut String,
-    name: &str,
-    cells: &[(Vec<(String, String)>, &HistogramSnapshot)],
-) {
+fn render_histogram_quantiles(out: &mut String, name: &str, cells: &[(Labels, HistogramSnapshot)]) {
     for (suffix, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
         let qname = format!("{name}_{suffix}");
         out.push_str(&format!("# TYPE {qname} gauge\n"));
@@ -125,67 +124,36 @@ fn render_histogram_quantiles(
     }
 }
 
+/// Writes a family's `# TYPE` and `# HELP` lines; returns its exposed name.
+fn render_header<V>(out: &mut String, family: &FamilySnapshot<V>, kind: &str) -> String {
+    let name = sanitize_name(&family.name);
+    out.push_str(&format!("# TYPE {name} {kind}\n"));
+    out.push_str(&format!("# HELP {name} {}\n", family.help));
+    name
+}
+
 /// Renders the snapshot as one OpenMetrics scrape, `# EOF`-terminated.
 pub fn render(snap: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(4096);
-
-    for (name, value) in &snap.counters {
-        let name = sanitize_name(name);
-        out.push_str(&format!("# TYPE {name} counter\n"));
-        out.push_str(&format!("# HELP {name} Counter {name}.\n"));
-        out.push_str(&format!("{name}_total {value}\n"));
-    }
-    for fam in &snap.counter_families {
-        let name = sanitize_name(&fam.name);
-        out.push_str(&format!("# TYPE {name} counter\n"));
-        out.push_str(&format!("# HELP {name} {}\n", fam.help));
-        for cell in &fam.cells {
-            out.push_str(&format!(
-                "{name}_total{} {}\n",
-                label_block(&cell.labels, None),
-                cell.value
-            ));
+    for family in &snap.counters {
+        let name = render_header(&mut out, family, "counter");
+        for (labels, value) in &family.cells {
+            out.push_str(&format!("{name}_total{} {value}\n", label_block(labels, None)));
         }
     }
-
-    for (name, value) in &snap.gauges {
-        let name = sanitize_name(name);
-        out.push_str(&format!("# TYPE {name} gauge\n"));
-        out.push_str(&format!("# HELP {name} Gauge {name}.\n"));
-        out.push_str(&format!("{name} {}\n", fmt_value(*value)));
-    }
-    for fam in &snap.gauge_families {
-        let name = sanitize_name(&fam.name);
-        out.push_str(&format!("# TYPE {name} gauge\n"));
-        out.push_str(&format!("# HELP {name} {}\n", fam.help));
-        for cell in &fam.cells {
-            out.push_str(&format!(
-                "{name}{} {}\n",
-                label_block(&cell.labels, None),
-                fmt_value(cell.value)
-            ));
+    for family in &snap.gauges {
+        let name = render_header(&mut out, family, "gauge");
+        for (labels, value) in &family.cells {
+            out.push_str(&format!("{name}{} {}\n", label_block(labels, None), fmt_value(*value)));
         }
     }
-
-    for (name, h) in &snap.histograms {
-        let name = sanitize_name(name);
-        out.push_str(&format!("# TYPE {name} histogram\n"));
-        out.push_str(&format!("# HELP {name} Histogram {name}.\n"));
-        render_histogram(&mut out, &name, &[], h);
-        render_histogram_quantiles(&mut out, &name, &[(Vec::new(), h)]);
-    }
-    for fam in &snap.histogram_families {
-        let name = sanitize_name(&fam.name);
-        out.push_str(&format!("# TYPE {name} histogram\n"));
-        out.push_str(&format!("# HELP {name} {}\n", fam.help));
-        for cell in &fam.cells {
-            render_histogram(&mut out, &name, &cell.labels, &cell.value);
+    for family in &snap.histograms {
+        let name = render_header(&mut out, family, "histogram");
+        for (labels, h) in &family.cells {
+            render_histogram(&mut out, &name, labels, h);
         }
-        let cells: Vec<(Vec<(String, String)>, &HistogramSnapshot)> =
-            fam.cells.iter().map(|c| (c.labels.clone(), &c.value)).collect();
-        render_histogram_quantiles(&mut out, &name, &cells);
+        render_histogram_quantiles(&mut out, &name, &family.cells);
     }
-
     out.push_str("# EOF\n");
     out
 }
@@ -245,11 +213,6 @@ impl Scrape {
     pub fn value(&self, name: &str, want: &[(&str, &str)]) -> Option<f64> {
         self.sample(name, want).map(|s| s.value)
     }
-
-    /// The declared kind of family `name`.
-    pub fn kind(&self, name: &str) -> Option<MetricKind> {
-        self.families.iter().find(|f| f.name == name).map(|f| f.kind)
-    }
 }
 
 fn parse_labels(block: &str) -> Result<Vec<(String, String)>, String> {
@@ -308,11 +271,7 @@ fn parse_sample(line: &str) -> Result<Sample, String> {
     };
     let (labels, value_part) = match rest {
         Some((block, tail)) => (parse_labels(block)?, tail.trim()),
-        None => {
-            let mut it = line.split_whitespace();
-            let _name = it.next();
-            (Vec::new(), line.split_once(char::is_whitespace).map(|(_, v)| v).unwrap_or("").trim())
-        }
+        None => (Vec::new(), line.split_once(char::is_whitespace).map_or("", |(_, v)| v.trim())),
     };
     let name = name_part.split_whitespace().next().unwrap_or("").to_string();
     if name.is_empty() {
@@ -333,7 +292,8 @@ fn parse_sample(line: &str) -> Result<Sample, String> {
 }
 
 /// Parses an OpenMetrics scrape. Rejects malformed metadata or sample
-/// lines, a missing `# EOF` terminator, and content after it.
+/// lines, a second `# TYPE` for a family already seen, a missing `# EOF`
+/// terminator, and content after it.
 pub fn parse(text: &str) -> Result<Scrape, String> {
     let mut scrape = Scrape::default();
     let mut saw_eof = false;
@@ -360,6 +320,9 @@ pub fn parse(text: &str) -> Result<Scrape, String> {
                     Some(_) => MetricKind::Unknown,
                     None => return Err(format!("TYPE without a kind: {line}")),
                 };
+                if scrape.families.iter().any(|f| f.name == name) {
+                    return Err(format!("family {name} declared twice: {line}"));
+                }
                 scrape.families.push(Family {
                     name,
                     kind,
@@ -429,6 +392,18 @@ mod tests {
         assert!(parse("# TYPE a counter\na_total 1\n").is_err());
         assert!(parse("# TYPE a counter\na_total 1\n# EOF\nextra 2\n").is_err());
         assert!(parse("# TYPE a counter\na_total 1\n# EOF\n").is_ok());
+    }
+
+    #[test]
+    fn rejects_a_family_declared_twice() {
+        let twice = "# TYPE a counter\na_total 1\n# TYPE a counter\na_total 2\n# EOF\n";
+        let err = parse(twice).unwrap_err();
+        assert!(err.contains("family a declared twice"), "{err}");
+        // Another kind under the same name is no better.
+        assert!(parse("# TYPE a counter\na_total 1\n# TYPE a gauge\na 2\n# EOF\n").is_err());
+        // A family first seen through an untyped sample cannot be typed later.
+        assert!(parse("a 1\n# TYPE a gauge\n# EOF\n").is_err());
+        assert!(parse("# TYPE a counter\na_total 1\n# TYPE b counter\nb_total 2\n# EOF\n").is_ok());
     }
 
     #[test]

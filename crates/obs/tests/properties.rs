@@ -1,8 +1,9 @@
 //! Property tests for the metrics layer's concurrency contract: a
 //! histogram's buckets — and therefore its estimated quantiles, which are
 //! a pure function of the buckets — must not depend on how recording was
-//! interleaved across threads, and `metrics::reset` must zero labeled
-//! families along with everything else.
+//! interleaved across threads, and `metrics::reset` must zero every cell
+//! of every family, unlabeled metrics (a family's empty-label cell)
+//! included.
 
 use std::sync::Mutex;
 
@@ -12,18 +13,17 @@ use proptest::prelude::*;
 /// two properties below must not interleave.
 static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
 
-/// A fresh labeled histogram cell, distinguished by a leaked unique label
-/// (labels are `&'static str`; leaking in tests is fine).
-fn fresh_cell(tag: &str) -> (&'static edge_obs::Histogram, &'static str) {
+/// A fresh labeled histogram cell, distinguished by a unique label.
+fn fresh_cell(tag: &str) -> (&'static edge_obs::Histogram, String) {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let id = NEXT.fetch_add(1, Ordering::Relaxed);
-    let label: &'static str = Box::leak(format!("{tag}-{id}").into_boxed_str());
+    let label = format!("{tag}-{id}");
     let cell = edge_obs::labels::histogram_family(
         "obs_properties_us",
         "Scratch histogram cells for the concurrency property tests.",
     )
-    .with(&[("case", label)]);
+    .with(&[("case", &label)]);
     (cell, label)
 }
 
@@ -60,10 +60,10 @@ proptest! {
             record_across(cell, &values, threads);
             let snap = edge_obs::metrics::snapshot();
             let serial_snap = snap
-                .labeled_histogram("obs_properties_us", &[("case", serial_label)])
+                .labeled_histogram("obs_properties_us", &[("case", &serial_label)])
                 .expect("serial cell snapshotted");
             let conc_snap = snap
-                .labeled_histogram("obs_properties_us", &[("case", label)])
+                .labeled_histogram("obs_properties_us", &[("case", &label)])
                 .expect("concurrent cell snapshotted");
 
             prop_assert_eq!(conc_snap.count, values.len() as u64);
@@ -107,25 +107,34 @@ proptest! {
         }
         let (hist, _) = fresh_cell("reset");
         hist.record(sample);
+        edge_obs::counter!("obs.properties.unlabeled").inc(counts[0]);
+        edge_obs::gauge!("obs.properties.level").set(sample + 1.0);
+        edge_obs::histogram!("obs.properties.unlabeled_us").record(sample);
 
         let snap = edge_obs::metrics::snapshot();
         prop_assert_eq!(
             snap.labeled_counter("obs_properties_events", &[("lane", "l0")]),
             Some(counts[0])
         );
+        prop_assert_eq!(snap.counter("obs.properties.unlabeled"), Some(counts[0]));
 
         edge_obs::metrics::reset();
         let snap = edge_obs::metrics::snapshot();
-        for family in &snap.counter_families {
-            for cell in &family.cells {
-                prop_assert_eq!(cell.value, 0, "counter cell survived reset");
+        for family in &snap.counters {
+            for (_, value) in &family.cells {
+                prop_assert_eq!(*value, 0, "counter cell survived reset");
             }
         }
-        for family in &snap.histogram_families {
-            for cell in &family.cells {
-                prop_assert_eq!(cell.value.count, 0, "histogram cell survived reset");
-                prop_assert_eq!(cell.value.sum, 0.0);
-                prop_assert!(cell.value.buckets.iter().all(|&(_, n)| n == 0));
+        for family in &snap.gauges {
+            for (_, value) in &family.cells {
+                prop_assert_eq!(*value, 0.0, "gauge cell survived reset");
+            }
+        }
+        for family in &snap.histograms {
+            for (_, h) in &family.cells {
+                prop_assert_eq!(h.count, 0, "histogram cell survived reset");
+                prop_assert_eq!(h.sum, 0.0);
+                prop_assert!(h.buckets.iter().all(|&(_, n)| n == 0));
             }
         }
     }

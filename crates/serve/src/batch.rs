@@ -154,7 +154,6 @@ impl BatchQueue {
             return false;
         }
         q.extend(jobs);
-        edge_obs::gauge!("serve.queue.depth").set(q.len() as f64);
         self.arrived.notify_one();
         true
     }
@@ -195,9 +194,6 @@ impl BatchQueue {
                 }
             }
             *q = kept;
-            if !evicted.is_empty() {
-                edge_obs::gauge!("serve.queue.depth").set(q.len() as f64);
-            }
             evicted
             // Lock dropped before fulfill runs the notifiers.
         };
@@ -235,9 +231,7 @@ impl BatchQueue {
             }
         }
         let take = q.len().min(max_batch);
-        let batch: Vec<Job> = q.drain(..take).collect();
-        edge_obs::gauge!("serve.queue.depth").set(q.len() as f64);
-        Some(batch)
+        Some(q.drain(..take).collect())
     }
 }
 

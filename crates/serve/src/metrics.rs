@@ -113,9 +113,10 @@ pub(crate) fn mode_transition_counter(to: &'static str) -> &'static Counter {
     cells[mode_index(to)]
 }
 
-/// Every per-shard cell, resolved once at server start for a leaked
-/// shard name (shard topology is fixed for the process lifetime, so the
-/// leak is bounded and the hot path stays an array-free pointer deref).
+/// Every per-shard cell, resolved once at server start (the family keeps
+/// its own copy of the shard name, so the hot path stays an array-free
+/// pointer deref). A second server with the same shard names resolves to
+/// the same cells.
 ///
 /// The `serve_shard_request_us` histogram is what gives each shard its
 /// own `_p50/_p95/_p99` estimate gauges in the OpenMetrics exposition —
@@ -137,54 +138,32 @@ pub(crate) struct ShardCells {
 }
 
 /// Resolves the full cell set for one shard label.
-pub(crate) fn shard_cells(shard: &'static str) -> ShardCells {
-    let label: &[(&'static str, &'static str)] = &[("shard", shard)];
+pub(crate) fn shard_cells(shard: &str) -> ShardCells {
+    use edge_obs::labels::{counter_family, gauge_family, histogram_family};
+    let label = &[("shard", shard)];
+    let gauge = |name, help| gauge_family(name, help).with(label);
     ShardCells {
-        requests: edge_obs::labels::counter_family(
+        requests: counter_family(
             "serve_shard_requests",
             "Predict requests served, by model shard.",
         )
         .with(label),
-        texts: edge_obs::labels::counter_family(
-            "serve_shard_texts",
-            "Predict texts routed, by model shard.",
-        )
-        .with(label),
-        request_us: edge_obs::labels::histogram_family(
+        texts: counter_family("serve_shard_texts", "Predict texts routed, by model shard.")
+            .with(label),
+        request_us: histogram_family(
             "serve_shard_request_us",
             "Predict request latency in microseconds, by model shard.",
         )
         .with(label),
-        queue_depth: edge_obs::labels::gauge_family(
-            "serve_shard_queue_depth",
-            "Micro-batch queue depth, by model shard.",
-        )
-        .with(label),
-        shed_rate: edge_obs::labels::gauge_family(
-            "serve_shard_shed_rate",
-            "Rolling shed fraction, by model shard.",
-        )
-        .with(label),
-        cache_hits: edge_obs::labels::gauge_family(
-            "serve_shard_cache_hits",
-            "Response-cache hits, by model shard.",
-        )
-        .with(label),
-        cache_misses: edge_obs::labels::gauge_family(
-            "serve_shard_cache_misses",
-            "Response-cache misses, by model shard.",
-        )
-        .with(label),
-        mode: edge_obs::labels::gauge_family(
+        queue_depth: gauge("serve_shard_queue_depth", "Micro-batch queue depth, by model shard."),
+        shed_rate: gauge("serve_shard_shed_rate", "Rolling shed fraction, by model shard."),
+        cache_hits: gauge("serve_shard_cache_hits", "Response-cache hits, by model shard."),
+        cache_misses: gauge("serve_shard_cache_misses", "Response-cache misses, by model shard."),
+        mode: gauge(
             "serve_shard_mode",
             "Brownout ladder position (0=full .. 3=shed), by model shard.",
-        )
-        .with(label),
-        generation: edge_obs::labels::gauge_family(
-            "serve_shard_generation",
-            "Loaded model generation, by model shard.",
-        )
-        .with(label),
+        ),
+        generation: gauge("serve_shard_generation", "Loaded model generation, by model shard."),
     }
 }
 
@@ -210,7 +189,8 @@ mod tests {
     #[test]
     fn shard_cells_are_stable_per_label() {
         let a = shard_cells("nyma");
-        let b = shard_cells("nyma");
+        // A name built at runtime, as a second server start would pass it.
+        let b = shard_cells(&String::from("nyma"));
         let other = shard_cells("lama");
         assert!(std::ptr::eq(a.requests, b.requests));
         assert!(std::ptr::eq(a.request_us, b.request_us));

@@ -103,7 +103,7 @@ fn install_signal_handlers() {
 
 /// One metro shard: a full serving stack behind its router slot.
 pub(crate) struct Shard {
-    name: &'static str,
+    name: String,
     slot: ModelSlot,
     queue: BatchQueue,
     cache: ResponseCache,
@@ -194,41 +194,35 @@ impl Server {
         let names: Vec<String> = shards.iter().map(|(n, _)| n.clone()).collect();
         let shard_stacks: Vec<Shard> = shards
             .into_iter()
-            .map(|(name, model)| {
-                // Shard topology is fixed for the process lifetime, so
-                // leaking the name buys `&'static` labels for the metric
-                // cells without a registry of interned strings.
-                let name: &'static str = Box::leak(name.into_boxed_str());
-                Shard {
-                    cells: shard_cells(name),
-                    name,
-                    slot: ModelSlot::new(model),
-                    queue: BatchQueue::new(config.queue_capacity),
-                    cache: ResponseCache::new(
-                        config.cache_capacity,
-                        config.cache_shards,
-                        config.cache_lsh_bits,
-                        config.cache_hamming_max,
-                    ),
-                    slo: SloTracker::new(SloConfig {
-                        target_p99_us: config.slo_target_p99_us,
-                        max_shed_rate: config.slo_max_shed_rate,
-                        window_secs: config.slo_window_secs,
-                    }),
-                    brownout: LoadController::new(BrownoutConfig {
-                        enabled: config.brownout_enabled,
-                        target_p99_us: config.brownout_p99_us,
-                        max_shed_rate: config.brownout_max_shed_rate,
-                        window_secs: config.brownout_window_secs,
-                        escalate_ticks: config.brownout_escalate_ticks,
-                        recover_ticks: config.brownout_recover_ticks,
-                        tick_interval: Duration::from_micros(config.brownout_tick_us),
-                    }),
-                    reload_breaker: CircuitBreaker::new(
-                        config.reload_breaker_threshold,
-                        Duration::from_secs(config.reload_breaker_cooldown_secs),
-                    ),
-                }
+            .map(|(name, model)| Shard {
+                cells: shard_cells(&name),
+                name,
+                slot: ModelSlot::new(model),
+                queue: BatchQueue::new(config.queue_capacity),
+                cache: ResponseCache::new(
+                    config.cache_capacity,
+                    config.cache_shards,
+                    config.cache_lsh_bits,
+                    config.cache_hamming_max,
+                ),
+                slo: SloTracker::new(SloConfig {
+                    target_p99_us: config.slo_target_p99_us,
+                    max_shed_rate: config.slo_max_shed_rate,
+                    window_secs: config.slo_window_secs,
+                }),
+                brownout: LoadController::new(BrownoutConfig {
+                    enabled: config.brownout_enabled,
+                    target_p99_us: config.brownout_p99_us,
+                    max_shed_rate: config.brownout_max_shed_rate,
+                    window_secs: config.brownout_window_secs,
+                    escalate_ticks: config.brownout_escalate_ticks,
+                    recover_ticks: config.brownout_recover_ticks,
+                    tick_interval: Duration::from_micros(config.brownout_tick_us),
+                }),
+                reload_breaker: CircuitBreaker::new(
+                    config.reload_breaker_threshold,
+                    Duration::from_secs(config.reload_breaker_cooldown_secs),
+                ),
             })
             .collect();
         let models: Vec<Arc<EdgeModel>> = shard_stacks.iter().map(|s| s.slot.get().0).collect();
@@ -315,7 +309,7 @@ impl Server {
 
     /// Loaded shard names, in routing index order.
     pub fn shard_names(&self) -> Vec<&str> {
-        self.state.shards.iter().map(|s| s.name).collect()
+        self.state.shards.iter().map(|s| s.name.as_str()).collect()
     }
 
     /// Current model generation (shard 0 — the whole server pre-router).
@@ -669,15 +663,14 @@ fn handle_metrics(state: &ServerState) -> Reply {
     // Point-in-time gauges are refreshed at scrape so the exposition is
     // self-contained. Unlabeled gauges keep their pre-router meaning as
     // whole-server rollups; the `serve_shard_*` families carry the
-    // per-shard truth.
-    let (hits, misses) = state.shards.iter().fold((0u64, 0u64), |(h, m), s| {
-        let (sh, sm) = s.cache.stats();
-        (h + sh, m + sm)
-    });
-    edge_obs::gauge!("serve.cache.stats.hits").set(hits as f64);
-    edge_obs::gauge!("serve.cache.stats.misses").set(misses as f64);
-    let depth: usize = state.shards.iter().map(|s| s.queue.depth()).sum();
-    edge_obs::gauge!("serve.queue.depth").set(depth as f64);
+    // per-shard truth. Each shard is read once, so a rollup is exactly the
+    // sum of its shard gauges in the same scrape.
+    let caches: Vec<(u64, u64)> = state.shards.iter().map(|s| s.cache.stats()).collect();
+    let depths: Vec<usize> = state.shards.iter().map(|s| s.queue.depth()).collect();
+    edge_obs::gauge!("serve.cache.stats.hits").set(caches.iter().map(|c| c.0).sum::<u64>() as f64);
+    edge_obs::gauge!("serve.cache.stats.misses")
+        .set(caches.iter().map(|c| c.1).sum::<u64>() as f64);
+    edge_obs::gauge!("serve.queue.depth").set(depths.iter().sum::<usize>() as f64);
     let statuses: Vec<SloStatus> = state.shards.iter().map(|s| s.slo.status()).collect();
     let burn = statuses.iter().map(|s| s.burn_rate).fold(0.0, f64::max);
     let budget = statuses.iter().map(|s| s.budget_remaining).fold(f64::INFINITY, f64::min);
@@ -689,12 +682,11 @@ fn handle_metrics(state: &ServerState) -> Reply {
     edge_obs::gauge!("serve.slo.degraded").set(if degraded { 1.0 } else { 0.0 });
     let worst = state.shards.iter().map(|s| s.brownout.mode()).max().unwrap_or(Mode::Full);
     edge_obs::gauge!("serve.mode").set(worst as u8 as f64);
-    for (shard, status) in state.shards.iter().zip(&statuses) {
-        let (sh, sm) = shard.cache.stats();
-        shard.cells.queue_depth.set(shard.queue.depth() as f64);
+    for (i, (shard, status)) in state.shards.iter().zip(&statuses).enumerate() {
+        shard.cells.queue_depth.set(depths[i] as f64);
         shard.cells.shed_rate.set(status.shed_rate);
-        shard.cells.cache_hits.set(sh as f64);
-        shard.cells.cache_misses.set(sm as f64);
+        shard.cells.cache_hits.set(caches[i].0 as f64);
+        shard.cells.cache_misses.set(caches[i].1 as f64);
         shard.cells.mode.set(shard.brownout.mode() as u8 as f64);
         shard.cells.generation.set(shard.slot.generation() as f64);
     }
@@ -944,7 +936,6 @@ fn handle_predict(
     // One coherent snapshot of every shard's model for this request.
     let snapshots: Vec<(Arc<EdgeModel>, u64)> = state.shards.iter().map(|s| s.slot.get()).collect();
     let models: Vec<Arc<EdgeModel>> = snapshots.iter().map(|(m, _)| Arc::clone(m)).collect();
-    edge_obs::counter!("serve.predict.texts").inc(body.texts.len() as u64);
     stats.batch = body.texts.len() as u32;
 
     // A request that arrived already out of budget is not worth resolving.

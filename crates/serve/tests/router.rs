@@ -13,6 +13,7 @@ mod util;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use edge_core::{
     ArtifactLoad, EdgeConfig, EdgeModel, PredictOptions, PredictRequest, Predictor, TrainOptions,
@@ -108,6 +109,56 @@ fn routed_responses_are_bit_identical_to_the_owning_shard() {
     assert!(ny > 0.0, "nyma shard counter moved: {ny}");
     assert!(la > 0.0, "lama shard counter moved: {la}");
     server.shutdown();
+}
+
+/// One strict parse of a two-shard scrape, after traffic down every
+/// predict path (model batch, cache hit, abstention): every family is
+/// declared once, and the whole-server queue gauge is the sum of the
+/// per-shard gauges while a request waits in the queue.
+#[test]
+fn a_two_shard_scrape_declares_every_family_once() {
+    let _scenario = edge_faults::FailScenario::setup();
+    let (server, _, _) = start_two_shards(ServeConfig::default());
+    let addr = server.addr();
+    let mut client = Client::connect(addr).unwrap();
+    let mut texts = util::covered_texts(4);
+    let uncached = texts.pop().unwrap();
+    texts.extend(util::lama_texts(3));
+    texts.push("nothing recognizable here".to_string());
+    for text in texts.iter().chain(&texts) {
+        assert_eq!(client.predict(text).unwrap().status, 200);
+    }
+
+    // Park every scheduler (they check between 20ms idle waits), then
+    // queue one request so the depth gauges have something to show.
+    edge_faults::configure("serve.dispatch.hold", "100000*err").unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    let held = std::thread::spawn(move || Client::connect(addr).unwrap().predict(&uncached));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.queue_depth() < 1 {
+        assert!(Instant::now() < deadline, "the request never queued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let metrics = client.request("GET", "/metrics", b"").unwrap();
+    edge_faults::remove("serve.dispatch.hold");
+    assert_eq!(held.join().unwrap().unwrap().status, 200);
+    server.shutdown();
+
+    let scrape = edge_obs::openmetrics::parse(metrics.text()).expect("strict parse");
+    let mut names: Vec<&str> = scrape.families.iter().map(|f| f.name.as_str()).collect();
+    names.sort_unstable();
+    for pair in names.windows(2) {
+        assert_ne!(pair[0], pair[1], "family declared twice");
+    }
+    for path in ["inline", "batched"] {
+        let texts = scrape.value("serve_predict_texts_total", &[("batch_path", path)]);
+        assert!(texts.unwrap_or(0.0) > 0.0, "{path} path taken");
+    }
+    assert!(scrape.value("serve_cache_stats_hits", &[]).unwrap_or(0.0) > 0.0);
+    let total = scrape.value("serve_queue_depth", &[]).expect("queue depth gauge");
+    let shard = |s| scrape.value("serve_shard_queue_depth", &[("shard", s)]).unwrap();
+    assert!(total >= 1.0, "the held request shows in the queue");
+    assert_eq!(total, shard("nyma") + shard("lama"), "the rollup sums the shard gauges");
 }
 
 #[test]
