@@ -4,7 +4,7 @@
 //!
 //! 1. `unbatched` — one text per request, `max_batch = 1`, default server
 //!    config (cache on): every request pays the full per-request fixed
-//!    cost (syscalls, HTTP framing, scheduler handoff).
+//!    cost (syscalls, HTTP framing, event-loop wake-ups).
 //! 2. `batched` — 32 texts per request, `max_batch = 32`, same config:
 //!    the fixed cost is amortized across the batch. The headline
 //!    `speedup_batched_vs_unbatched` is leg 2 over leg 1 — identical
@@ -18,9 +18,9 @@
 //! measurements:
 //!
 //! - `lone_request` — one text per request on one connection, default
-//!   `max_batch`, cache off: the single-user case a work-conserving
-//!   scheduler must not make wait for company. CI gates its ring-median
-//!   queue wait.
+//!   `max_batch`, cache off: the single-user case, which the event loop
+//!   runs at the end of the round that parsed it, never waiting for
+//!   company. CI gates its ring-median queue wait.
 //! - `high_concurrency` — the server holds 10k+ idle keep-alive
 //!   connections (the epoll interest list, not threads, carries them)
 //!   while a foreground client drives batched predict traffic; latency
@@ -95,8 +95,8 @@ struct LegRecord {
     per_shard: Vec<ShardStat>,
 }
 
-/// A single user against the default scheduler: nothing else is queued,
-/// so the queue wait is the scheduler's own handoff cost.
+/// A single user against the default server: nothing else is parked, so
+/// the queue wait is only the rest of the loop's readiness round.
 #[derive(Serialize)]
 struct LoneRequest {
     requests: usize,

@@ -10,11 +10,13 @@
 //!    budget instead of holding its connection open indefinitely.
 //! 4. `stalled-reader` — a client that never reads its response does not
 //!    block other connections.
-//! 5. `worker-stall` — a `sleep` failpoint stalls an inference worker
-//!    past the request deadline: the answer is a typed 504, and the pool
-//!    is healthy afterwards.
-//! 6. `queue-burst` — with the scheduler held, a concurrent burst only
-//!    ever observes {200, 429, 504}; queued work completes on release.
+//! 5. `worker-stall` — a `sleep` failpoint stalls the event loop that
+//!    runs a request's job, past the request deadline: the answer is a
+//!    typed 504, a miss on the other loop's connection answers while the
+//!    stall lasts, and the stalled loop serves normally afterwards.
+//! 6. `queue-burst` — with every loop's backlog held, a concurrent burst
+//!    only ever observes {200, 429, 504}; parked work completes on
+//!    release.
 //! 7. `reload-storm` — a storm of corrupt reloads opens the circuit
 //!    breaker (typed 503 + Retry-After, filesystem untouched); after the
 //!    cooldown a healthy reload closes it and bumps the generation.
@@ -218,7 +220,7 @@ fn main() {
         .map(|t| t.text.clone())
         .collect();
     // Text allocation matters: the response cache is on (the realistic
-    // configuration), so legs that must push work through the scheduler
+    // configuration), so legs that must push work through the model
     // (worker-stall, queue-burst) get texts no earlier leg has cached.
     assert!(covered.len() >= 24, "corpus too small for the chaos matrix");
 
@@ -377,24 +379,48 @@ fn main() {
     }
     leg.finish(&mut legs);
 
-    // Leg 5: worker stall — a sleeping worker past the deadline is a
-    // typed 504, and the pool serves the next request normally.
+    // Leg 5: loop stall — inference runs on the event loop, so the
+    // stall holds the loop that runs the job. Past the deadline it is a
+    // typed 504; it holds no other loop, and the stalled loop serves the
+    // next request normally.
     let mut leg = Leg::new("worker-stall");
     {
-        leg.events += 1;
-        edge_faults::configure("serve.worker.stall", "1*sleep(400)").unwrap();
+        leg.events += 2;
+        // Connections go to the loops round-robin: two consecutive ones
+        // land on different loops. One exchange each registers them.
         let mut client = Client::connect(addr).expect("connect");
-        // covered[8] is uncached: the request must reach a worker.
+        let mut other = Client::connect(addr).expect("connect");
+        for c in [&mut client, &mut other] {
+            let _ = c.request("GET", "/healthz", b"");
+        }
+        edge_faults::configure("serve.worker.stall", "1*sleep(400)").unwrap();
+        // covered[8] is uncached: the request must reach the model.
         let body = format!("{{\"text\":{}}}", serde_json::to_string(&covered[8]).unwrap());
-        let resp = client
-            .request_with_headers(
+        let stalled = std::thread::spawn(move || {
+            client.request_with_headers(
                 "POST",
                 "/predict",
                 &[("X-Deadline-Us", "100000")],
                 body.as_bytes(),
             )
-            .expect("request");
-        leg.check(resp.status == 504, format!("stalled worker answered {}", resp.status));
+        });
+        // While the first loop sleeps, an uncached text on the other
+        // loop's connection answers at its usual speed.
+        std::thread::sleep(Duration::from_millis(50));
+        let t0 = Instant::now();
+        match other.predict(&covered[21]) {
+            Ok(resp) => {
+                let took = t0.elapsed();
+                leg.check(resp.status == 200, format!("other loop answered {}", resp.status));
+                leg.check(
+                    took < Duration::from_millis(200),
+                    format!("the stall held the other loop: {took:?}"),
+                );
+            }
+            Err(e) => leg.check(false, format!("other loop transport error: {e}")),
+        }
+        let resp = stalled.join().expect("stalled thread").expect("request");
+        leg.check(resp.status == 504, format!("stalled loop answered {}", resp.status));
         leg.check(
             resp.json().get("error").and_then(|v| v.as_str()) == Some("deadline_exceeded"),
             format!("504 must be typed: {}", resp.text()),
@@ -404,16 +430,15 @@ fn main() {
     }
     leg.finish(&mut legs);
 
-    // Leg 6: queue-full burst — held scheduler, concurrent burst, only
-    // well-formed outcomes {200, 429, 504}; queued work completes.
+    // Leg 6: queue-full burst — held backlog, concurrent burst, only
+    // well-formed outcomes {200, 429, 504}; parked work completes.
     let mut leg = Leg::new("queue-burst");
     {
+        // A loop checks the hold each time it would run its backlog, so
+        // everything admitted from here on parks.
         edge_faults::configure("serve.dispatch.hold", "100000*err").unwrap();
-        // The scheduler polls the hold failpoint between idle waits; give
-        // it a beat to actually park.
-        std::thread::sleep(Duration::from_millis(300));
-        // 12 uncached texts against an 8-deep queue: some must queue
-        // (then complete on release), some must shed.
+        // 12 uncached texts against an 8-deep backlog bound: some must
+        // park (then complete on release), some must shed.
         let burst: Vec<_> = covered[9..21]
             .iter()
             .cloned()

@@ -68,8 +68,6 @@ COMMANDS:
                                                       route by resolved entities)
                  --addr <host:port>                  (default 127.0.0.1:7878)
                  --event-loops <n>                   (epoll loop threads; default 2)
-                 --replicas <n>                      (scheduler threads per shard;
-                                                      default 1)
                  --max-batch <n>                     (default 32)
                  --queue-capacity <n>                (shed beyond this, per shard;
                                                       default 256)
@@ -517,7 +515,6 @@ pub fn profile(args: &[String]) -> Result<(), String> {
 const SERVE_FLAGS: &[&str] = &[
     "addr",
     "event-loops",
-    "replicas",
     "max-batch",
     "queue-capacity",
     "cache-capacity",
@@ -599,7 +596,6 @@ fn serve_config(flags: &HashMap<String, String>) -> Result<edge_serve::ServeConf
     numeric(flags, "reload-breaker-threshold", &mut config.reload_breaker_threshold)?;
     numeric(flags, "reload-breaker-cooldown-secs", &mut config.reload_breaker_cooldown_secs)?;
     numeric(flags, "event-loops", &mut config.event_loops)?;
-    numeric(flags, "replicas", &mut config.replicas)?;
     config.brownout_enabled = !flags.contains_key("no-brownout");
     config.fallback_prior = flags.contains_key("fallback-prior");
     Ok(config)
@@ -958,8 +954,10 @@ mod tests {
 
     #[test]
     fn serve_rejects_an_unknown_flag_by_name() {
-        let err = serve_flags(&strs(&["--model", "m.edge", "--max-delay-us", "500"])).unwrap_err();
-        assert!(err.contains("--max-delay-us"), "{err}");
+        for gone in ["--max-delay-us", "--replicas"] {
+            let err = serve_flags(&strs(&["--model", "m.edge", gone, "2"])).unwrap_err();
+            assert!(err.contains(gone), "{err}");
+        }
     }
 
     #[test]

@@ -103,12 +103,12 @@ impl Drop for RequestScopeGuard {
     }
 }
 
-/// Adopts a [`SpanContext`] captured on another thread: until the guard
-/// drops, spans opened here carry the context's request id and parent to
-/// its span. `edge-par` wraps pooled tasks in this so worker-thread spans
-/// stay attached to the submitting span; the serving scheduler adopts each
-/// job's context around its inference. Cheap when tracing is disabled
-/// (two thread-local writes).
+/// Adopts a [`SpanContext`] captured elsewhere: until the guard drops,
+/// spans opened here carry the context's request id and parent to its
+/// span. `edge-par` wraps pooled tasks in this so worker-thread spans
+/// stay attached to the submitting span; a serving event loop adopts a
+/// request's context around the model call that answers it. Cheap when
+/// tracing is disabled (two thread-local writes).
 #[must_use = "the adopted context ends when this guard is dropped"]
 pub fn adopt(ctx: SpanContext) -> AdoptGuard {
     let prev_request = CURRENT_REQUEST.with(|c| c.replace(ctx.request));
@@ -204,8 +204,8 @@ impl Drop for DetachedSpan {
 
 /// Appends a span for an interval measured manually (no guard was open):
 /// the caller supplies the parent context and both endpoints. Used for
-/// cross-thread stages like queue wait, where the span conceptually starts
-/// on one thread (submit) and ends on another (dispatch).
+/// stages like queue wait, which start while one request is parsed and
+/// end when a later step, shared by several requests, runs.
 pub fn record_manual(name: &'static str, ctx: SpanContext, start: Instant, end: Instant) {
     if !crate::trace_enabled() {
         return;

@@ -113,7 +113,8 @@ pub struct Transition {
 }
 
 /// The load controller: a mode atomic readable from any thread, advanced
-/// by rate-limited ticks from the request handlers and the scheduler.
+/// by rate-limited ticks from the request handlers and every event-loop
+/// wake.
 pub struct LoadController {
     config: BrownoutConfig,
     tracker: SloTracker,

@@ -1,20 +1,23 @@
 //! Server configuration: the batching, backpressure, and cache knobs.
 
 /// Tunables for [`crate::Server`]. The defaults suit an interactive
-/// deployment: batches of up to 32 texts taken from whatever queued while
-/// the previous batch ran (a lone text never waits for company), a queue
-/// deep enough to absorb bursts, and a cache sized for a few thousand
-/// distinct entity sets.
+/// deployment: each event loop runs the misses it parsed at the end of
+/// the round, in model calls of up to 32 texts (a lone text never waits
+/// for company), a backlog bound deep enough to absorb bursts, and a
+/// cache sized for a few thousand distinct entity sets.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; use port 0 for an ephemeral port (tests, benches).
     pub addr: String,
-    /// Largest batch the scheduler dispatches at once. 1 disables
-    /// micro-batching (every text dispatched alone).
+    /// Most texts one `locate_batch` call takes when an event loop runs
+    /// its backlog. 1 runs every text in a call of its own.
     pub max_batch: usize,
-    /// Admission-queue capacity in texts. A `POST /predict` whose texts do
-    /// not all fit is rejected with `429` (explicit shedding) rather than
-    /// queued partially.
+    /// Per-shard backlog bound in texts: admitted texts not yet run,
+    /// across every event loop. A `POST /predict` whose texts do not all
+    /// fit on every shard it touches is rejected with `429` (explicit
+    /// shedding) rather than admitted partially. It also bounds one
+    /// round's work, and so how long a round holds the other connections
+    /// on its loop.
     pub queue_capacity: usize,
     /// Total cached responses across all shards; 0 disables the cache.
     pub cache_capacity: usize,
@@ -88,9 +91,6 @@ pub struct ServeConfig {
     /// handed off round-robin at accept; each loop multiplexes thousands
     /// of keep-alive sockets over one `epoll` instance.
     pub event_loops: usize,
-    /// Scheduler threads per shard draining its micro-batch queue. More
-    /// than one lets a shard keep batching while a batch is in flight.
-    pub replicas: usize,
 }
 
 impl Default for ServeConfig {
@@ -126,14 +126,13 @@ impl Default for ServeConfig {
             reload_breaker_threshold: 3,
             reload_breaker_cooldown_secs: 10,
             event_loops: 2,
-            replicas: 1,
         }
     }
 }
 
 impl ServeConfig {
     /// Validates invariants that would otherwise dead-lock or divide by
-    /// zero deep inside the scheduler.
+    /// zero deep inside the server.
     pub fn validate(&self) -> Result<(), String> {
         if self.max_batch == 0 {
             return Err("max_batch must be at least 1".into());
@@ -180,9 +179,6 @@ impl ServeConfig {
         }
         if self.event_loops == 0 {
             return Err("event_loops must be at least 1".into());
-        }
-        if self.replicas == 0 {
-            return Err("replicas must be at least 1".into());
         }
         Ok(())
     }
@@ -232,8 +228,6 @@ mod tests {
         let c = ServeConfig { retry_after_secs: 0, ..ServeConfig::default() };
         assert!(c.validate().is_err());
         let c = ServeConfig { event_loops: 0, ..ServeConfig::default() };
-        assert!(c.validate().is_err());
-        let c = ServeConfig { replicas: 0, ..ServeConfig::default() };
         assert!(c.validate().is_err());
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A [`Deadline`] is minted when the request line is parsed (from the
 //! client's `X-Deadline-Us` header, falling back to the server's
-//! `default_deadline_us`) and threaded through every stage: parse → queue
-//! admission → batch flush → inference → serialize. Each stage consults
+//! `default_deadline_us`) and threaded through every stage: parse →
+//! backlog admission → the loop's eviction sweep → inference. Each consults
 //! [`Deadline::expired`] and bails with a typed `DeadlineExceeded` (HTTP
 //! 504) instead of doing work whose answer nobody is waiting for.
 

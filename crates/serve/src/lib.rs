@@ -1,4 +1,4 @@
-//! # edge-serve — batched, hot-reloadable inference serving
+//! # edge-serve — event-loop, hot-reloadable inference serving
 //!
 //! An HTTP/1.1 inference server for trained EDGE models, built directly
 //! on `std::net` plus raw `epoll` syscalls ([`reactor`]; the workspace is
@@ -14,8 +14,7 @@
 //! | `/debug/requests` | GET | the last N per-request records (status, batch, per-stage micros) |
 //!
 //! Every response carries an `X-Request-Id` header (echoing the client's,
-//! if sent), and the same id tags every span the request produced — on the
-//! event loop, the scheduler, and the `edge-par` workers — so one
+//! if sent), and the same id tags every span the request produced, so one
 //! request can be reconstructed end-to-end from the JSONL trace.
 //!
 //! ## Architecture
@@ -26,39 +25,41 @@
 //! supporting HTTP/1.1 keep-alive *and pipelining* (responses strictly in
 //! request order). An idle keep-alive connection is one fd in an interest
 //! list — 10k+ of them cost zero threads. Wakeups between threads use
-//! `eventfd`: batch completions and `SIGTERM` both unpark a sleeping
-//! loop in microseconds.
+//! `eventfd`: a handed-off connection and `SIGTERM` both unpark a
+//! sleeping loop in microseconds.
 //!
 //! A server can load **multiple model shards** (one per metro, say) behind
 //! an entity **router** ([`router`]): each text's resolved entity set
 //! picks a shard — by gazetteer affinity when one shard uniquely knows
 //! the mentioned entities, by consistent hashing otherwise — and every
-//! shard runs its own micro-batch queue, scheduler replicas, response
-//! cache partition, SLO tracker, and brownout ladder. Per-shard state is
-//! visible as `serve_shard_*` labeled metric families.
+//! shard has its own backlog bound, response cache partition, SLO
+//! tracker, and brownout ladder. Per-shard state is visible as
+//! `serve_shard_*` labeled metric families.
 //!
-//! Texts flow through a micro-batching scheduler ([`batch`]): the event
-//! loop resolves entities, consults the shard's response cache
-//! ([`cache`]), and enqueues the misses into its bounded queue, which
-//! scheduler threads drain in batches of up to `max_batch`, dispatched
-//! through the model's order-preserving `locate_batch`. Responses are
-//! **bit-identical** to direct [`edge_core::Predictor`] calls: batching,
-//! caching, routing, and the wire format never change a single float bit
-//! (the JSON writer emits shortest-round-trip decimals).
+//! Inference runs on the event loop ([`batch`]): the loop resolves
+//! entities, consults the shard's response cache ([`cache`]), and keeps
+//! the misses in its backlog. At the end of each readiness round it runs
+//! that backlog itself, grouped by shard and fallback policy, in
+//! `locate_batch` calls of up to `max_batch` texts; no other thread takes
+//! part. Responses are **bit-identical** to direct
+//! [`edge_core::Predictor`] calls: grouping, caching, routing, and the
+//! wire format never change a single float bit (the JSON writer emits
+//! shortest-round-trip decimals).
 //!
 //! Overload is explicit: a `POST` whose texts do not all fit in the
-//! queue is shed with `429` and counted in `serve.shed`. Hot reload is
-//! atomic: the artifact is checksum-verified *before* the swap, in-flight
-//! batches finish on the model they started with, and a corrupt artifact
+//! backlog bound (`queue_capacity`) of every shard it touches is shed
+//! with `429` and counted in `serve.shed`. Hot reload is atomic: the
+//! artifact is checksum-verified *before* the swap, a slice already
+//! running finishes on the model it started with, and a corrupt artifact
 //! leaves the old model serving. SIGTERM (CLI mode) drains gracefully.
 //!
 //! ## Robustness
 //!
 //! Every request carries a deadline budget ([`deadline`]): the client's
-//! `X-Deadline-Us` header, or the server default. The budget bounds queue
-//! admission, batch flush, inference, and the final wait; an expired
-//! request answers a typed `504 deadline_exceeded`, and queued jobs past
-//! budget are evicted rather than flushed. Socket read budgets bound
+//! `X-Deadline-Us` header, or the server default. The budget is checked at
+//! parse, at the loop's timer sweep of its backlog, and before each job
+//! runs; an expired request answers a typed `504 deadline_exceeded`, and
+//! backlog past budget is evicted rather than run. Socket read budgets bound
 //! slow-loris senders (the request must finish arriving within the budget
 //! once its first byte lands) and write timeouts bound stalled readers.
 //! Oversized bodies are refused with `413` before a byte of the body is

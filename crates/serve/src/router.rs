@@ -1,6 +1,6 @@
 //! Model router: picks the metro-area shard that serves a tweet.
 //!
-//! Each shard is a full serving stack (model slot, micro-batch queue,
+//! Each shard is a full serving stack (model slot, backlog bound,
 //! response-cache partition, SLO/brownout state) loaded from its own
 //! artifact (`--model NAME=PATH`, repeatable). Routing is two-tier:
 //!

@@ -5,11 +5,11 @@
 //! Threading model: `event_loops` threads each own one `epoll` instance
 //! and a set of non-blocking connections (loop 0 also owns the
 //! listener; accepted sockets are handed off round-robin). A request is
-//! parsed, routed, and admitted on its loop thread; batched inference
-//! happens on the per-shard scheduler threads; completion wakes the loop
-//! through an `eventfd`, which serializes and flushes the response. An
-//! idle keep-alive connection is one fd in an interest list — 10k+ of
-//! them cost zero threads and zero per-tick work.
+//! parsed, routed, admitted, run through its shard's model, serialized
+//! and flushed on its loop thread: the predict misses a readiness round
+//! parsed run at the end of that round ([`crate::batch`]), so no other
+//! thread takes part. An idle keep-alive connection is one fd in an
+//! interest list — 10k+ of them cost zero threads and zero per-tick work.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -28,7 +28,7 @@ use edge_obs::ring::{
 use edge_obs::trace::{AdoptGuard, DetachedSpan, SpanContext};
 use edge_obs::{Histogram, RequestRing, SloConfig, SloStatus, SloTracker, SpanGuard};
 
-use crate::batch::{run_scheduler, BatchQueue, Job, Pending, StageCells};
+use crate::batch::{reserve_all, run_slice, Admission, Backlog, Job, JobOutcome, SliceTimes};
 use crate::breaker::CircuitBreaker;
 use crate::brownout::{BrownoutConfig, LoadController, Mode};
 use crate::cache::ResponseCache;
@@ -50,9 +50,6 @@ use crate::reactor::{
 use crate::router::{Router, TextScratch};
 use crate::slot::ModelSlot;
 
-/// How long an admitted predict may wait on the scheduler before the
-/// loop gives up with 500.
-const PREDICT_TIMEOUT: Duration = Duration::from_secs(60);
 /// How long shutdown waits for in-flight work before force-exiting.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 /// Headroom over `max_body_bytes` for the request line and headers
@@ -105,7 +102,8 @@ fn install_signal_handlers() {
 pub(crate) struct Shard {
     name: String,
     slot: ModelSlot,
-    queue: BatchQueue,
+    /// Texts admitted to any loop's backlog for this shard, not yet run.
+    admission: Admission,
     cache: ResponseCache,
     slo: SloTracker,
     brownout: LoadController,
@@ -113,17 +111,15 @@ pub(crate) struct Shard {
     cells: ShardCells,
 }
 
-/// Per-event-loop mailbox: how other threads reach a loop. Both vectors
-/// are drained on the loop thread right after every wake.
+/// Per-event-loop mailbox: how the accepting loop hands a connection to
+/// another. Drained on the loop thread right after every wake.
 struct LoopShared {
     waker: Waker,
     /// Connections handed off by the accepting loop.
     incoming: Mutex<Vec<TcpStream>>,
-    /// Tokens of async predicts whose last fragment just landed.
-    completions: Mutex<Vec<u64>>,
 }
 
-/// Everything the event loops and schedulers share.
+/// Everything the event loops share.
 struct ServerState {
     config: ServeConfig,
     shards: Vec<Shard>,
@@ -148,7 +144,6 @@ pub struct Server {
     addr: SocketAddr,
     state: Arc<ServerState>,
     loop_threads: Vec<JoinHandle<()>>,
-    scheduler_threads: Vec<JoinHandle<()>>,
     /// Keeps metrics recording for the server's lifetime; the prior
     /// global state is restored when the last lease drops.
     _metrics_lease: Option<edge_obs::MetricsLease>,
@@ -161,8 +156,7 @@ impl Server {
         Server::start_shards(vec![("default".to_string(), model)], config)
     }
 
-    /// Binds, spawns the event loops and per-shard batching schedulers,
-    /// and returns once the socket is listening. One shard per loaded
+    /// Binds, spawns the event loops, and returns once the socket is listening. One shard per loaded
     /// metro model; requests route by resolved entity affinity with a
     /// consistent-hash tiebreak.
     pub fn start_shards(
@@ -198,7 +192,7 @@ impl Server {
                 cells: shard_cells(&name),
                 name,
                 slot: ModelSlot::new(model),
-                queue: BatchQueue::new(config.queue_capacity),
+                admission: Admission::new(config.queue_capacity),
                 cache: ResponseCache::new(
                     config.cache_capacity,
                     config.cache_shards,
@@ -234,7 +228,6 @@ impl Server {
                 Ok(Arc::new(LoopShared {
                     waker: Waker::new().map_err(|e| format!("eventfd: {e}"))?,
                     incoming: Mutex::new(Vec::new()),
-                    completions: Mutex::new(Vec::new()),
                 }))
             })
             .collect::<Result<_, String>>()?;
@@ -253,19 +246,6 @@ impl Server {
             config,
         });
 
-        let mut scheduler_threads = Vec::new();
-        for shard_idx in 0..state.shards.len() {
-            for replica in 0..state.config.replicas {
-                let state = Arc::clone(&state);
-                let name = format!("edge-serve-sched-{}-{replica}", state.shards[shard_idx].name);
-                scheduler_threads.push(
-                    std::thread::Builder::new()
-                        .name(name)
-                        .spawn(move || scheduler_entry(state, shard_idx))
-                        .map_err(|e| e.to_string())?,
-                );
-            }
-        }
         let mut loop_threads = Vec::new();
         let mut listener = Some(listener);
         for idx in 0..state.config.event_loops {
@@ -278,7 +258,7 @@ impl Server {
                     .map_err(|e| e.to_string())?,
             );
         }
-        Ok(Server { addr, state, loop_threads, scheduler_threads, _metrics_lease: metrics_lease })
+        Ok(Server { addr, state, loop_threads, _metrics_lease: metrics_lease })
     }
 
     /// Loads the model from a saved mapped artifact (see
@@ -325,9 +305,9 @@ impl Server {
         })
     }
 
-    /// Jobs currently waiting across every shard's batching queue.
+    /// Texts admitted and not yet run, summed across shards.
     pub fn queue_depth(&self) -> usize {
-        self.state.shards.iter().map(|s| s.queue.depth()).sum()
+        self.state.shards.iter().map(|s| s.admission.depth()).sum()
     }
 
     /// The brownout load-controller mode of shard 0 right now.
@@ -346,20 +326,14 @@ impl Server {
         self.state.ring.recent(n)
     }
 
-    /// Requests a graceful drain and blocks until the event loops and
-    /// schedulers exit (bounded by the drain timeout).
+    /// Requests a graceful drain and blocks until the event loops exit
+    /// (bounded by the drain timeout).
     pub fn shutdown(mut self) {
         self.state.shutdown.store(true, Ordering::Release);
         for shared in &self.state.loops {
             shared.waker.wake();
         }
-        for shard in &self.state.shards {
-            shard.queue.notify_waiters();
-        }
         for t in self.loop_threads.drain(..) {
-            let _ = t.join();
-        }
-        for t in self.scheduler_threads.drain(..) {
             let _ = t.join();
         }
     }
@@ -382,18 +356,6 @@ impl Server {
         edge_obs::progress!("edge-serve: draining ({} in flight)", self.queue_depth());
         self.shutdown();
     }
-}
-
-fn scheduler_entry(state: Arc<ServerState>, shard_idx: usize) {
-    let shard = &state.shards[shard_idx];
-    run_scheduler(
-        &shard.queue,
-        &shard.slot,
-        &shard.cache,
-        state.config.max_batch,
-        || state.draining(),
-        || tick_brownout(&state, shard_idx),
-    );
 }
 
 /// Advances one shard's load controller and publishes a transition
@@ -441,7 +403,7 @@ fn tick_brownout(state: &ServerState, shard_idx: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Request bookkeeping shared by the sync and async completion paths.
+// Request bookkeeping shared by inline answers and backlog completions.
 // ---------------------------------------------------------------------------
 
 /// What the predict handler learned about its request, for the debug
@@ -507,20 +469,22 @@ enum SloAction {
 }
 
 /// Identity and timing of one in-flight request, carried from parse to
-/// the final accounting no matter which thread finishes it.
+/// the final accounting.
 struct RequestMeta {
     started: Instant,
     request_id: u64,
     endpoint: &'static str,
-    /// Root span; detached because the request may complete on a later
-    /// loop iteration. Dropped (= recorded) by [`finish_request`].
+    /// Root span; detached because the request may complete at the end
+    /// of its round or a later one. Dropped (= recorded) by
+    /// [`finish_request`].
     root: DetachedSpan,
 }
 
 /// The single exit point for every request: ends the root span, feeds
 /// the global and per-shard metric families and SLO trackers, pushes the
 /// debug-ring record, and advances the brownout controllers, so every
-/// status (inline, completed or timed out) is accounted the same way.
+/// status (inline or completed after its jobs ran) is accounted the same
+/// way.
 fn finish_request(
     state: &ServerState,
     meta: RequestMeta,
@@ -629,7 +593,7 @@ fn to_wire(reply: &Reply, header_id: &str, keep_alive: bool) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------------
-// Endpoint handlers (synchronous; predict may instead go async).
+// Endpoint handlers (synchronous; a predict miss waits for its round's end).
 // ---------------------------------------------------------------------------
 
 fn handle_healthz(state: &ServerState) -> Reply {
@@ -666,7 +630,7 @@ fn handle_metrics(state: &ServerState) -> Reply {
     // per-shard truth. Each shard is read once, so a rollup is exactly the
     // sum of its shard gauges in the same scrape.
     let caches: Vec<(u64, u64)> = state.shards.iter().map(|s| s.cache.stats()).collect();
-    let depths: Vec<usize> = state.shards.iter().map(|s| s.queue.depth()).collect();
+    let depths: Vec<usize> = state.shards.iter().map(|s| s.admission.depth()).collect();
     edge_obs::gauge!("serve.cache.stats.hits").set(caches.iter().map(|c| c.0).sum::<u64>() as f64);
     edge_obs::gauge!("serve.cache.stats.misses")
         .set(caches.iter().map(|c| c.1).sum::<u64>() as f64);
@@ -779,13 +743,15 @@ fn handle_reload(req: &Request, state: &ServerState) -> Reply {
 }
 
 // ---------------------------------------------------------------------------
-// Predict: routed, admitted on the loop thread, completed asynchronously.
+// Predict: routed and admitted on the loop thread, run at the round's end.
 // ---------------------------------------------------------------------------
 
 /// What one event loop owns across requests.
 struct LoopLocal {
-    /// Admitted predicts, by pending token.
+    /// Admitted predicts, by token.
     inflight: HashMap<u64, InFlight>,
+    /// Their texts not yet run, in arrival order.
+    backlog: Backlog,
     /// Monotonic, never reused: connection and in-flight tokens share the
     /// space, so a stale completion can never alias a live connection.
     next_token: u64,
@@ -801,27 +767,48 @@ impl LoopLocal {
     }
 }
 
-/// An admitted predict waiting for its shard schedulers, owned by the
-/// event loop that parsed it.
+/// An admitted predict waiting for its jobs, owned by the event loop
+/// that parsed it.
 struct InFlight {
     conn: u64,
-    pending: Arc<Pending>,
     deadline: Deadline,
-    /// When the loop gives up waiting: the request's deadline, capped by
-    /// the scheduler-wedge bound `PREDICT_TIMEOUT`.
-    timeout_at: Instant,
-    /// Per-text fragments; inline answers prefilled, seeds filled at
-    /// completion.
+    /// Per-text fragments; inline answers prefilled, the rest filled as
+    /// their jobs run.
     fragments: Vec<Option<Arc<Vec<u8>>>>,
-    /// Fragment index of each pending slot, in pending order.
-    seeds: Vec<usize>,
-    stages: Arc<StageCells>,
+    /// Jobs not yet run or evicted.
+    outstanding: usize,
+    /// A job found its deadline spent: the request answers 504 whole.
+    expired: bool,
+    /// Queue, batch and inference micros of the slowest job so far: a
+    /// request's texts can run in different slices, and the slowest path
+    /// is what a per-request latency decomposition means.
+    queue_us: u64,
+    batch_us: u64,
+    inference_us: u64,
     single: bool,
     meta: RequestMeta,
     stats: PredictStats,
     participants: Vec<usize>,
     header_id: String,
     keep_alive: bool,
+}
+
+impl InFlight {
+    /// Settles one job; true once it was the request's last.
+    fn settle(&mut self, job: &Job, outcome: JobOutcome, times: Option<&SliceTimes>) -> bool {
+        match outcome {
+            JobOutcome::Answered(bytes) => self.fragments[job.index] = Some(bytes),
+            JobOutcome::Expired => self.expired = true,
+        }
+        if let Some(t) = times {
+            let us = |from: Instant, to: Instant| to.saturating_duration_since(from).as_micros();
+            self.queue_us = self.queue_us.max(us(job.submitted, t.started) as u64);
+            self.batch_us = self.batch_us.max(us(t.started, t.inference) as u64);
+            self.inference_us = self.inference_us.max(us(t.inference, t.finished) as u64);
+        }
+        self.outstanding -= 1;
+        self.outstanding == 0
+    }
 }
 
 /// A brownout 503 for `mode`, charged to `shards`.
@@ -836,25 +823,24 @@ fn browned_out_reply(state: &ServerState, mode: Mode, shards: Vec<usize>) -> (Re
 enum Outcome {
     /// Fully answered: wire bytes ready to flush.
     Ready(Vec<u8>),
-    /// Predict admitted to shard queues; answered when `InFlight`
-    /// completes or times out.
-    Pending(u64),
+    /// Predict admitted to the loop's backlog; answered once its jobs ran
+    /// or were evicted.
+    Waiting(u64),
 }
 
 /// Parses, routes, and either answers or admits one request. Runs on the
 /// event-loop thread; never blocks.
 fn dispatch_request(
     state: &ServerState,
-    shared: &Arc<LoopShared>,
     local: &mut LoopLocal,
     conn_token: u64,
     req: Request,
     keep_alive: bool,
 ) -> Outcome {
     let started = Instant::now();
-    // Every request gets a fresh id; spans opened anywhere below (this
-    // thread, the scheduler, the worker pool) carry it, and the response
-    // echoes the client's X-Request-Id when it sent one.
+    // Every request gets a fresh id; every span the request opens carries
+    // it, and the response echoes the client's X-Request-Id when it sent
+    // one.
     let request_id = edge_obs::trace::next_request_id();
     let _scope = edge_obs::trace::request_scope(request_id);
     let header_id = req.request_id.clone().unwrap_or_else(|| format!("req-{request_id}"));
@@ -874,7 +860,7 @@ fn dispatch_request(
 
     if let ("POST", "predict") = (req.method.as_str(), endpoint) {
         return handle_predict(
-            state, shared, local, conn_token, &req, meta, deadline, header_id, keep_alive,
+            state, local, conn_token, &req, meta, deadline, header_id, keep_alive,
         );
     }
     let reply = match (req.method.as_str(), endpoint) {
@@ -893,7 +879,6 @@ fn dispatch_request(
 #[allow(clippy::too_many_arguments)]
 fn handle_predict(
     state: &ServerState,
-    shared: &Arc<LoopShared>,
     local: &mut LoopLocal,
     conn_token: u64,
     req: &Request,
@@ -924,7 +909,7 @@ fn handle_predict(
     // Its span nests under the detached root.
     let ctx = meta.root.ctx();
     let parse = StageGuard::start(&mut stats.stage_us[STAGE_PARSE], ctx, "serve.stage.parse");
-    let body = match parse_predict_body(&req.body) {
+    let mut body = match parse_predict_body(&req.body) {
         Ok(b) => b,
         Err(msg) => {
             drop(parse);
@@ -947,10 +932,10 @@ fn handle_predict(
     }
 
     // Route and resolve each text up front: abstentions answer
-    // immediately, cache hits skip the queue, and only genuine model work
-    // is admitted. Each text's shard decides its brownout fate: CacheOnly
-    // rejects a miss, PriorOnly answers from that shard's fallback prior
-    // with a `degraded` marker, Full admits it to the shard's queue.
+    // immediately, cache hits skip the backlog, and only genuine model
+    // work is admitted. Each text's shard decides its brownout fate:
+    // CacheOnly rejects a miss, PriorOnly answers from that shard's
+    // fallback prior with a `degraded` marker, Full admits it.
     let mut fragments: Vec<Option<Arc<Vec<u8>>>> = vec![None; body.texts.len()];
     let mut seeds: Vec<(usize, usize, Vec<usize>)> = Vec::new();
     let mut participants: Vec<usize> = Vec::new();
@@ -1013,66 +998,50 @@ fn handle_predict(
         return finish(meta, reply, &stats, SloAction::Record(participants));
     }
 
-    let stages = Arc::new(StageCells::default());
-    // The parse stage ends here, at admission: job construction and the
-    // submit itself contend on the queue mutex (the scheduler holds it to
-    // evict expired jobs), and that wait is queue time. Ending parse
-    // first keeps the stages disjoint, so their sum never exceeds the
-    // request's end-to-end latency.
+    // The parse stage ends here, at admission; queue time runs from here
+    // to the start of the slice that runs the text.
     drop(parse);
     let submitted = Instant::now();
+    // Reserve every touched shard's backlog room, all or nothing: when
+    // one shard refuses, no text of the request runs anywhere.
+    let mut per_shard = vec![0usize; state.shards.len()];
+    for &(_, s, _) in &seeds {
+        per_shard[s] += 1;
+    }
+    let admissions = state.shards.iter().map(|shard| &shard.admission);
+    if let Err(s) = reserve_all(admissions.zip(per_shard.iter().copied())) {
+        edge_obs::counter!("serve.shed").inc(1);
+        let body = simple_object(&[("error", "overloaded")]);
+        let reply = Reply::json(429, body).with_retry_after(state.config.retry_after_secs);
+        return finish(meta, reply, &stats, SloAction::Shed429(s));
+    }
     let token = local.next_token();
-    // Completion path: the worker that fills the last fragment posts the
-    // token to this loop's mailbox and wakes its epoll.
-    let notify = Arc::clone(shared);
-    let pending = Arc::new(Pending::new(seeds.len(), move || {
-        notify.completions.lock().unwrap_or_else(|e| e.into_inner()).push(token);
-        notify.waker.wake();
-    }));
-    // One submit per shard, all-or-nothing within each shard's queue, so
-    // a single-shard request is admitted whole or not at all. If any shard
-    // sheds, the whole request answers 429; fragments already admitted
-    // elsewhere complete into an unregistered token and are ignored.
-    let mut by_shard: HashMap<usize, Vec<Job>> = HashMap::new();
-    for (k, (i, s, entities)) in seeds.iter().enumerate() {
-        by_shard.entry(*s).or_default().push(Job {
-            entities: entities.clone(),
-            generation: snapshots[*s].1,
-            text: body.texts[*i].clone(),
+    let outstanding = seeds.len();
+    for (i, s, entities) in seeds {
+        local.backlog.push(Job {
+            shard: s,
+            entities,
+            generation: snapshots[s].1,
+            text: std::mem::take(&mut body.texts[i]),
             fallback,
-            pending: Arc::clone(&pending),
-            index: k,
-            ctx: meta.root.ctx(),
+            token,
+            index: i,
+            ctx,
             submitted,
-            stages: Arc::clone(&stages),
             deadline,
         });
     }
-    for (s, jobs) in by_shard {
-        if !state.shards[s].queue.try_submit(jobs) {
-            edge_obs::counter!("serve.shed").inc(1);
-            let body = simple_object(&[("error", "overloaded")]);
-            let reply = Reply::json(429, body).with_retry_after(state.config.retry_after_secs);
-            return finish(meta, reply, &stats, SloAction::Shed429(s));
-        }
-    }
-    // Wait no longer than the request's own budget: a bounded request
-    // answers 504 the moment its budget is gone, not at the generic
-    // scheduler-wedge timeout.
-    let wait_limit = match deadline.remaining() {
-        Some(remaining) => remaining.min(PREDICT_TIMEOUT),
-        None => PREDICT_TIMEOUT,
-    };
     local.inflight.insert(
         token,
         InFlight {
             conn: conn_token,
-            pending,
             deadline,
-            timeout_at: submitted + wait_limit,
             fragments,
-            seeds: seeds.into_iter().map(|(i, _, _)| i).collect(),
-            stages,
+            outstanding,
+            expired: false,
+            queue_us: 0,
+            batch_us: 0,
+            inference_us: 0,
             single: body.single,
             meta,
             stats,
@@ -1081,7 +1050,7 @@ fn handle_predict(
             keep_alive,
         },
     );
-    Outcome::Pending(token)
+    Outcome::Waiting(token)
 }
 
 /// Joins fragments into the response body: a bare object for the single
@@ -1103,54 +1072,77 @@ fn serialize_fragments(fragments: &mut [Option<Arc<Vec<u8>>>], single: bool) -> 
     out
 }
 
-/// Resolves a completed (or timed-out) in-flight predict into wire
-/// bytes: 504 past the deadline, 500 when the schedulers never answered,
-/// else the joined fragments.
-fn resolve_inflight(state: &ServerState, mut flight: InFlight, timed_out: bool) -> (u64, Vec<u8>) {
-    let results = flight.pending.try_results();
-    let (reply, action) = match results {
-        _ if flight.deadline.expired() => {
-            edge_obs::counter!("serve.deadline.expired").inc(1);
-            (
-                Reply::json(504, render_deadline_error()),
-                SloAction::Record(flight.participants.clone()),
-            )
-        }
-        None => {
-            debug_assert!(timed_out, "resolved without results or timeout");
-            let body = simple_object(&[("error", "timeout")]);
-            (Reply::json(500, body), SloAction::Record(flight.participants.clone()))
-        }
-        Some(results) => {
-            // Queue eviction resolves a job to the deadline fragment; a
-            // request holding one is answered 504 as a whole, matching
-            // the typed contract regardless of which stage gave up first.
-            if results.iter().any(|b| b.as_slice() == render_deadline_error().as_slice()) {
-                (
-                    Reply::json(504, render_deadline_error()),
-                    SloAction::Record(flight.participants.clone()),
-                )
-            } else {
-                for (&i, bytes) in flight.seeds.iter().zip(results) {
-                    flight.fragments[i] = Some(bytes);
-                }
-                let (queue_us, batch_us, inference_us) = flight.stages.load();
-                let stage_us = &mut flight.stats.stage_us;
-                stage_us[STAGE_QUEUE] = Some(queue_us);
-                stage_us[STAGE_BATCH] = Some(batch_us);
-                stage_us[STAGE_INFERENCE] = Some(inference_us);
-                let slot = &mut stage_us[STAGE_SERIALIZE];
-                let ctx = flight.meta.root.ctx();
-                let serialize = StageGuard::start(slot, ctx, "serve.stage.serialize");
-                let out = serialize_fragments(&mut flight.fragments, flight.single);
-                drop(serialize);
-                (Reply::json(200, out), SloAction::Record(flight.participants.clone()))
-            }
-        }
+/// Resolves a settled in-flight predict into wire bytes: 504 when a job
+/// found its deadline spent or the budget ran out meanwhile, else the
+/// joined fragments.
+fn resolve_inflight(state: &ServerState, mut flight: InFlight) -> (u64, Vec<u8>) {
+    let action = SloAction::Record(std::mem::take(&mut flight.participants));
+    let reply = if flight.expired || flight.deadline.expired() {
+        edge_obs::counter!("serve.deadline.expired").inc(1);
+        Reply::json(504, render_deadline_error())
+    } else {
+        let stage_us = &mut flight.stats.stage_us;
+        stage_us[STAGE_QUEUE] = Some(flight.queue_us);
+        stage_us[STAGE_BATCH] = Some(flight.batch_us);
+        stage_us[STAGE_INFERENCE] = Some(flight.inference_us);
+        let slot = &mut stage_us[STAGE_SERIALIZE];
+        let serialize = StageGuard::start(slot, flight.meta.root.ctx(), "serve.stage.serialize");
+        let out = serialize_fragments(&mut flight.fragments, flight.single);
+        drop(serialize);
+        Reply::json(200, out)
     };
     let wire = to_wire(&reply, &flight.header_id, flight.keep_alive);
     finish_request(state, flight.meta, reply.status, &flight.stats, action);
     (flight.conn, wire)
+}
+
+/// Settles each job's outcome into its in-flight predict, then answers
+/// and delivers every predict whose last job that was.
+fn settle_jobs(
+    state: &ServerState,
+    poller: &Poller,
+    conns: &mut HashMap<u64, Connection>,
+    local: &mut LoopLocal,
+    settled: impl IntoIterator<Item = (Job, JobOutcome)>,
+    times: Option<&SliceTimes>,
+) {
+    for (job, outcome) in settled {
+        state.shards[job.shard].admission.release(1);
+        let Some(flight) = local.inflight.get_mut(&job.token) else { continue };
+        if flight.settle(&job, outcome, times) {
+            let flight = local.inflight.remove(&job.token).expect("settled predict is in flight");
+            let (conn_token, wire) = resolve_inflight(state, flight);
+            deliver(poller, conns, conn_token, job.token, wire);
+        }
+    }
+}
+
+/// The loop's own inference: evicts backlog past its deadline, then —
+/// unless the `serve.dispatch.hold` failpoint parks it — runs the rest
+/// slice by slice on this thread, delivering each slice's finished
+/// responses before the next slice starts.
+fn run_backlog(
+    state: &ServerState,
+    poller: &Poller,
+    conns: &mut HashMap<u64, Connection>,
+    local: &mut LoopLocal,
+) {
+    let evicted = local.backlog.evict_expired();
+    if !evicted.is_empty() {
+        edge_obs::counter!("serve.queue.evicted").inc(evicted.len() as u64);
+        let expired = evicted.into_iter().map(|job| (job, JobOutcome::Expired));
+        settle_jobs(state, poller, conns, local, expired, None);
+    }
+    if local.backlog.is_empty()
+        || (edge_faults::enabled() && edge_faults::fired("serve.dispatch.hold"))
+    {
+        return;
+    }
+    for mut slice in local.backlog.take_slices(state.config.max_batch) {
+        let shard = &state.shards[slice[0].shard];
+        let (outcomes, times) = run_slice(&mut slice, &shard.slot, &shard.cache);
+        settle_jobs(state, poller, conns, local, slice.into_iter().zip(outcomes), Some(&times));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1226,8 +1218,12 @@ fn event_loop(loop_idx: usize, listener: Option<TcpListener>, state: Arc<ServerS
     let _ = poller.add(shared.waker.fd(), TOKEN_WAKER, EPOLLIN);
 
     let mut conns: HashMap<u64, Connection> = HashMap::new();
-    let mut local =
-        LoopLocal { inflight: HashMap::new(), next_token: 2, scratch: TextScratch::new() };
+    let mut local = LoopLocal {
+        inflight: HashMap::new(),
+        backlog: Backlog::default(),
+        next_token: 2,
+        scratch: TextScratch::new(),
+    };
     let mut events = event_buffer(256);
     let mut drain_deadline: Option<Instant> = None;
 
@@ -1282,7 +1278,6 @@ fn event_loop(loop_idx: usize, listener: Option<TcpListener>, state: Arc<ServerS
                     listener.as_ref(),
                     loop_idx,
                     &mut conns,
-                    &shared,
                     &mut local,
                 ),
                 TOKEN_WAKER => shared.waker.drain(),
@@ -1292,7 +1287,7 @@ fn event_loop(loop_idx: usize, listener: Option<TcpListener>, state: Arc<ServerS
                         continue;
                     }
                     if bits & (EPOLLIN | EPOLLRDHUP) != 0 {
-                        conn_readable(&state, &poller, &shared, &mut conns, &mut local, token);
+                        conn_readable(&state, &poller, &mut conns, &mut local, token);
                     }
                     if bits & EPOLLOUT != 0 {
                         if let Some(conn) = conns.get_mut(&token) {
@@ -1312,31 +1307,19 @@ fn event_loop(loop_idx: usize, listener: Option<TcpListener>, state: Arc<ServerS
             if state.draining() {
                 continue; // dropped: refusing new work mid-drain
             }
-            register_conn(&state, &poller, &shared, &mut conns, &mut local, stream);
+            register_conn(&state, &poller, &mut conns, &mut local, stream);
         }
 
-        // Completed async predicts.
-        let done: Vec<u64> =
-            shared.completions.lock().unwrap_or_else(|e| e.into_inner()).drain(..).collect();
-        for token in done {
-            // Unknown tokens are fine: a 429'd request's stray fragments
-            // (other-shard submits that preceded the failing one), or a
-            // predict the timeout tick already resolved.
-            if let Some(flight) = local.inflight.remove(&token) {
-                let (conn_token, wire) = resolve_inflight(&state, flight, false);
-                deliver(&poller, &mut conns, conn_token, token, wire);
-            }
+        // Every wake, idle timeouts included, advances the load
+        // controllers, so an idle server still walks the ladder.
+        for shard_idx in 0..state.shards.len() {
+            tick_brownout(&state, shard_idx);
         }
+        // The round's predict misses run here, on this thread.
+        run_backlog(&state, &poller, &mut conns, &mut local);
 
-        // Timed bounds: in-flight waits, read budgets, write stalls.
+        // Timed bounds: read budgets, write stalls.
         let now = Instant::now();
-        let expired: Vec<u64> =
-            local.inflight.iter().filter(|(_, f)| now >= f.timeout_at).map(|(&t, _)| t).collect();
-        for token in expired {
-            let Some(flight) = local.inflight.remove(&token) else { continue };
-            let (conn_token, wire) = resolve_inflight(&state, flight, true);
-            deliver(&poller, &mut conns, conn_token, token, wire);
-        }
         let budget = state.read_limits.read_budget;
         let write_timeout = Duration::from_micros(state.config.write_timeout_us);
         let cut: Vec<u64> = conns
@@ -1368,7 +1351,6 @@ fn accept_ready(
     listener: Option<&TcpListener>,
     loop_idx: usize,
     conns: &mut HashMap<u64, Connection>,
-    shared: &Arc<LoopShared>,
     local: &mut LoopLocal,
 ) {
     let Some(listener) = listener else { return };
@@ -1385,7 +1367,7 @@ fn accept_ready(
                 }
                 let target = state.next_loop.fetch_add(1, Ordering::Relaxed) % state.loops.len();
                 if target == loop_idx {
-                    register_conn(state, poller, shared, conns, local, stream);
+                    register_conn(state, poller, conns, local, stream);
                 } else {
                     state.loops[target]
                         .incoming
@@ -1406,7 +1388,6 @@ fn accept_ready(
 fn register_conn(
     state: &ServerState,
     poller: &Poller,
-    shared: &Arc<LoopShared>,
     conns: &mut HashMap<u64, Connection>,
     local: &mut LoopLocal,
     stream: TcpStream,
@@ -1420,29 +1401,30 @@ fn register_conn(
         return;
     }
     conns.insert(token, Connection::new(stream));
-    conn_readable(state, poller, shared, conns, local, token);
+    conn_readable(state, poller, conns, local, token);
 }
 
 /// Removes and drops a connection (closing its fd). Any in-flight
-/// predicts pointed at it finish later and simply find no connection.
+/// predicts pointed at it still run and simply find no connection.
 fn close_conn(poller: &Poller, conns: &mut HashMap<u64, Connection>, token: u64) {
     if let Some(conn) = conns.remove(&token) {
         let _ = poller.delete(conn.stream.as_raw_fd());
     }
 }
 
-/// Hands a completed async response to its connection's pipeline slot
-/// and flushes whatever became writable.
+/// Hands a finished predict's response to its connection's pipeline slot
+/// and flushes whatever became writable, so responses leave in pipeline
+/// order.
 fn deliver(
     poller: &Poller,
     conns: &mut HashMap<u64, Connection>,
     conn_token: u64,
-    pending_token: u64,
+    predict_token: u64,
     wire: Vec<u8>,
 ) {
     let Some(conn) = conns.get_mut(&conn_token) else { return };
     for slot in conn.slots.iter_mut() {
-        if matches!(slot, Slot::Waiting(t) if *t == pending_token) {
+        if matches!(slot, Slot::Waiting(t) if *t == predict_token) {
             *slot = Slot::Ready(wire);
             break;
         }
@@ -1457,7 +1439,6 @@ fn deliver(
 fn conn_readable(
     state: &ServerState,
     poller: &Poller,
-    shared: &Arc<LoopShared>,
     conns: &mut HashMap<u64, Connection>,
     local: &mut LoopLocal,
     token: u64,
@@ -1526,15 +1507,15 @@ fn conn_readable(
                     conn.stop_reading = true;
                     conn.close_after_flush = true;
                 }
-                match dispatch_request(state, shared, local, token, req, keep_alive) {
+                match dispatch_request(state, local, token, req, keep_alive) {
                     Outcome::Ready(wire) => {
                         // Re-borrow: dispatch had exclusive use of the maps.
                         let Some(conn) = conns.get_mut(&token) else { return };
                         conn.queue_reply(wire);
                     }
-                    Outcome::Pending(pending_token) => {
+                    Outcome::Waiting(predict_token) => {
                         let Some(conn) = conns.get_mut(&token) else { return };
-                        conn.slots.push_back(Slot::Waiting(pending_token));
+                        conn.slots.push_back(Slot::Waiting(predict_token));
                     }
                 }
             }

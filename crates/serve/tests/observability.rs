@@ -174,13 +174,11 @@ fn a_single_predict_trace_reconstructs_end_to_end() {
     let addr = server.addr();
     let text = util::covered_texts(1).remove(0);
 
-    // Hold the request in the queue for ~20ms so scheduling noise (condvar
-    // wakeups, thread hops) is far below the 5% tolerance: park the
-    // scheduler at the dispatch-hold failpoint (it checks it between idle
-    // waits, every ~20ms), send, wait until the text is queued, then
-    // release after the hold.
+    // Hold the request in the backlog for ~20ms so scheduling noise is far
+    // below the 5% tolerance: park every loop's backlog at the
+    // dispatch-hold failpoint (checked each time a loop would run it),
+    // send, wait until the text is admitted, then release after the hold.
     edge_faults::configure("serve.dispatch.hold", "100000*err").unwrap();
-    std::thread::sleep(Duration::from_millis(100));
     let request = {
         let text = text.clone();
         std::thread::spawn(move || Client::connect(addr).unwrap().predict(&text).unwrap())
@@ -221,12 +219,13 @@ fn a_single_predict_trace_reconstructs_end_to_end() {
     for stage in ["parse", "queue", "batch", "inference", "serialize"] {
         assert!(stage_durs.contains_key(stage), "stage {stage} missing: {stage_durs:?}");
     }
-    // The scheduler records queue/batch from its own thread, yet they
-    // still parent to the handler's root span.
-    assert_ne!(stage_threads["queue"], stage_threads["parse"], "queue span crossed threads");
+    // Every stage ran on the event loop that parsed the request.
+    for stage in ["queue", "batch", "inference", "serialize"] {
+        assert_eq!(stage_threads[stage], stage_threads["parse"], "{stage} ran on the loop");
+    }
 
-    // The model's own spans nest under the inference stage (adopted on
-    // the worker), not under some orphan root.
+    // The model's own spans nest under the inference stage, not under
+    // some orphan root.
     let inference_id = records
         .iter()
         .find(|r| r.request == id && r.name == "serve.stage.inference")

@@ -129,10 +129,10 @@ fn a_two_shard_scrape_declares_every_family_once() {
         assert_eq!(client.predict(text).unwrap().status, 200);
     }
 
-    // Park every scheduler (they check between 20ms idle waits), then
-    // queue one request so the depth gauges have something to show.
+    // Park every loop's backlog (a loop checks the hold each time it
+    // would run it), then admit one request so the depth gauges have
+    // something to show.
     edge_faults::configure("serve.dispatch.hold", "100000*err").unwrap();
-    std::thread::sleep(Duration::from_millis(100));
     let held = std::thread::spawn(move || Client::connect(addr).unwrap().predict(&uncached));
     let deadline = Instant::now() + Duration::from_secs(5);
     while server.queue_depth() < 1 {
@@ -159,6 +159,72 @@ fn a_two_shard_scrape_declares_every_family_once() {
     let shard = |s| scrape.value("serve_shard_queue_depth", &[("shard", s)]).unwrap();
     assert!(total >= 1.0, "the held request shows in the queue");
     assert_eq!(total, shard("nyma") + shard("lama"), "the rollup sums the shard gauges");
+}
+
+/// A two-shard request that one shard refuses runs nowhere. The lama
+/// backlog is full (held at `serve.dispatch.hold`), so every request
+/// pairing a fresh nyma text with a lama text answers 429, and the nyma
+/// texts are not admitted either: the backlog depth stays at the lama
+/// texts, no model call runs, and nothing reaches the nyma cache.
+#[test]
+fn a_request_one_shard_refuses_runs_on_no_shard() {
+    const CAP: usize = 8;
+    let _scenario = edge_faults::FailScenario::setup();
+    let (server, router, models) =
+        start_two_shards(ServeConfig { queue_capacity: CAP, ..ServeConfig::default() });
+    let addr = server.addr();
+    // Texts each shard owns; the nyma ones with distinct entity sets, so
+    // one's answer can never be a cache hit for another.
+    let mut sets = std::collections::HashSet::new();
+    let nyma: Vec<String> = util::covered_texts(400)
+        .into_iter()
+        .filter(|t| {
+            router.route_text(t, &models) == 0 && sets.insert(models[0].resolve_entities(t))
+        })
+        .take(CAP)
+        .collect();
+    let lama: Vec<String> = util::lama_texts(400)
+        .into_iter()
+        .filter(|t| router.route_text(t, &models) == 1)
+        .take(2 * CAP)
+        .collect();
+    assert_eq!((nyma.len(), lama.len()), (CAP, 2 * CAP), "enough texts per shard");
+
+    edge_faults::configure("serve.dispatch.hold", "100000*err").unwrap();
+    let filler: Vec<String> = lama[..CAP].to_vec();
+    let held = std::thread::spawn(move || {
+        let refs: Vec<&str> = filler.iter().map(String::as_str).collect();
+        Client::connect(addr).unwrap().predict_batch(&refs).unwrap()
+    });
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.queue_depth() < CAP {
+        assert!(Instant::now() < deadline, "the lama backlog never filled");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut client = Client::connect(addr).unwrap();
+    let batches = |client: &mut Client| {
+        let scrape = client.request("GET", "/metrics", b"").unwrap();
+        let scrape = edge_obs::openmetrics::parse(scrape.text()).expect("strict parse");
+        scrape.value("serve_batch_size_count", &[]).unwrap_or(0.0)
+    };
+    let (batches_before, (hits_before, _)) = (batches(&mut client), server.cache_stats());
+
+    for (n, l) in nyma.iter().zip(&lama[CAP..]) {
+        let resp = client.predict_batch(&[n.as_str(), l.as_str()]).unwrap();
+        assert_eq!(resp.status, 429, "{}", resp.text());
+    }
+    assert_eq!(server.queue_depth(), CAP, "no nyma text was admitted");
+    assert_eq!(batches(&mut client), batches_before, "no model call ran");
+
+    edge_faults::remove("serve.dispatch.hold");
+    assert_eq!(held.join().unwrap().status, 200, "the parked request completes");
+    for text in &nyma {
+        let resp = client.predict(text).unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.body, shard_fragment(&models[0], text));
+    }
+    assert_eq!(server.cache_stats().0, hits_before, "the refused nyma texts cached nothing");
+    server.shutdown();
 }
 
 #[test]

@@ -263,11 +263,9 @@ fn graceful_shutdown_answers_inflight_requests() {
     let addr = server.addr();
     let text = util::covered_texts(1).remove(0);
 
-    // Hold the scheduler so the request stays queued: it observes the
-    // failpoint between idle waits (every ~20ms), so after a grace period
-    // it is parked in the hold loop and dispatches nothing.
+    // Hold every loop's backlog so the request stays parked: a loop
+    // checks the hold each time it would run its backlog.
     edge_faults::configure("serve.dispatch.hold", "100000*err").unwrap();
-    std::thread::sleep(Duration::from_millis(100));
     let handle = {
         let text = text.clone();
         std::thread::spawn(move || {
@@ -281,10 +279,10 @@ fn graceful_shutdown_answers_inflight_requests() {
         std::thread::sleep(Duration::from_millis(2));
     }
 
-    // Begin the drain while the request is still queued (`shutdown` blocks
-    // until the scheduler exits, so it runs on its own thread), wait until
-    // the drain has closed the listener, then release the scheduler to
-    // answer the request.
+    // Begin the drain while the request is still parked (`shutdown` blocks
+    // until the loops exit, so it runs on its own thread), wait until the
+    // drain has closed the listener, then release the hold so the loop
+    // answers the request.
     let drain = std::thread::spawn(move || server.shutdown());
     while std::net::TcpStream::connect(addr).is_ok() {
         assert!(Instant::now() < deadline, "the drain never closed the listener");

@@ -7,13 +7,14 @@
 
 mod util;
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use edge_faults::FailScenario;
 use edge_serve::{Client, ServeConfig};
 
-/// With the scheduler held at the `serve.dispatch.hold` failpoint, a tiny
-/// queue fills up and further texts are shed with 429 (and counted).
+/// With the event loops' backlog held at the `serve.dispatch.hold`
+/// failpoint, a tiny backlog bound fills up and further texts are shed
+/// with 429 (and counted).
 #[test]
 fn full_queue_sheds_with_429() {
     let scenario = FailScenario::setup();
@@ -27,14 +28,12 @@ fn full_queue_sheds_with_429() {
     let texts = util::covered_texts(6);
     assert!(texts.len() >= 5, "need enough covered texts to overflow a queue of 4");
 
-    // Freeze the scheduler before it can drain anything: it checks this
-    // failpoint between idle waits (every ~20ms), so after a grace period
-    // it is parked in the hold loop and nothing gets dispatched.
+    // Park every loop's backlog: a loop checks this failpoint each time
+    // it would run its backlog, so nothing admitted from now on runs.
     edge_faults::configure("serve.dispatch.hold", "10000*err").unwrap();
-    std::thread::sleep(Duration::from_millis(300));
 
-    // Fill the queue from a background client (its request stays in flight
-    // until we release the scheduler).
+    // Fill the backlog from a background client (its request stays in
+    // flight until we release the hold).
     let filler = {
         let texts = texts.clone();
         std::thread::spawn(move || {
@@ -60,7 +59,7 @@ fn full_queue_sheds_with_429() {
     let refs: Vec<&str> = texts[..2].iter().map(String::as_str).collect();
     assert_eq!(client.predict_batch(&refs).unwrap().status, 429);
 
-    // Release the scheduler: the queued requests complete normally.
+    // Release the hold: the parked requests complete normally.
     edge_faults::remove("serve.dispatch.hold");
     let resp = filler.join().unwrap();
     assert_eq!(resp.status, 200, "queued batch completes after release");
@@ -103,9 +102,9 @@ fn failed_reload_keeps_old_model_serving() {
     drop(scenario);
 }
 
-/// A worker stalled at the `serve.worker.stall` failpoint (sleep action)
-/// past the request's deadline yields a typed 504 — never a silently
-/// late answer — and the worker pool is healthy for the next request.
+/// An event loop stalled at the `serve.worker.stall` failpoint (sleep
+/// action) past the request's deadline yields a typed 504 — never a
+/// silently late answer — and the loop serves the next request normally.
 #[test]
 fn stalled_worker_past_deadline_yields_504() {
     let scenario = FailScenario::setup();
@@ -121,7 +120,7 @@ fn stalled_worker_past_deadline_yields_504() {
     assert_eq!(resp.status, 504, "{}", resp.text());
     assert_eq!(resp.json().get("error").unwrap().as_str(), Some("deadline_exceeded"));
 
-    // The stall was one hit; the pool answers normally afterwards.
+    // The stall was one hit; the loop answers normally afterwards.
     let resp = client.predict(&text).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.text());
     assert_eq!(resp.body, util::expected_fragment(&text));
@@ -130,9 +129,59 @@ fn stalled_worker_past_deadline_yields_504() {
     drop(scenario);
 }
 
-/// With the scheduler held, the `serve.queue.expire` failpoint force-
-/// evicts queued jobs: the waiting request answers 504 immediately
-/// instead of blocking on a dispatch that never comes.
+/// A stall holds only the loop it happens on. Connections are handed to
+/// the two loops round-robin, so two consecutive connections land on
+/// different loops: while one loop sleeps 400ms inside a job, the other
+/// answers a fresh miss at once, and the stalled request still gets its
+/// typed 504.
+#[test]
+fn a_stalled_loop_holds_only_its_own_connections() {
+    let scenario = FailScenario::setup();
+    let server = util::start_server(ServeConfig {
+        event_loops: 2,
+        cache_capacity: 0,
+        ..ServeConfig::default()
+    });
+    let texts = util::covered_texts(2);
+    let mut stalled = Client::connect(server.addr()).unwrap();
+    let mut other = Client::connect(server.addr()).unwrap();
+    // One exchange each, so both connections are registered on their
+    // loops before the stall begins.
+    assert_eq!(stalled.request("GET", "/healthz", b"").unwrap().status, 200);
+    assert_eq!(other.request("GET", "/healthz", b"").unwrap().status, 200);
+
+    edge_faults::configure("serve.worker.stall", "1*sleep(400)").unwrap();
+    let body = format!("{{\"text\":{}}}", serde_json::to_string(&texts[0]).unwrap());
+    let stalled = std::thread::spawn(move || {
+        stalled
+            .request_with_headers(
+                "POST",
+                "/predict",
+                &[("X-Deadline-Us", "100000")],
+                body.as_bytes(),
+            )
+            .unwrap()
+    });
+    // Let the stalled request reach its loop and take the failpoint's hit.
+    std::thread::sleep(Duration::from_millis(50));
+    let started = Instant::now();
+    let resp = other.predict(&texts[1]).unwrap();
+    let took = started.elapsed();
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    assert_eq!(resp.body, util::expected_fragment(&texts[1]));
+    assert!(took < Duration::from_millis(200), "the other loop answered in {took:?}");
+
+    let resp = stalled.join().unwrap();
+    assert_eq!(resp.status, 504, "{}", resp.text());
+    assert_eq!(resp.json().get("error").unwrap().as_str(), Some("deadline_exceeded"));
+
+    server.shutdown();
+    drop(scenario);
+}
+
+/// With the backlog held, the `serve.queue.expire` failpoint force-
+/// evicts parked jobs: the waiting request answers 504 immediately
+/// instead of blocking on a run that never comes.
 #[test]
 fn forced_queue_eviction_answers_504() {
     let scenario = FailScenario::setup();
@@ -141,7 +190,6 @@ fn forced_queue_eviction_answers_504() {
     let text = util::covered_texts(1).remove(0);
 
     edge_faults::configure("serve.dispatch.hold", "10000*err").unwrap();
-    std::thread::sleep(Duration::from_millis(300));
 
     let waiter = {
         let text = text.clone();
@@ -156,14 +204,15 @@ fn forced_queue_eviction_answers_504() {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    // The hold loop evicts between sleeps, so the fire lands within ~ms.
+    // A loop holding a backlog wakes every tick and sweeps it first, so
+    // the fire lands within one tick.
     edge_faults::configure("serve.queue.expire", "1*err").unwrap();
     let resp = waiter.join().unwrap();
     assert_eq!(resp.status, 504, "evicted request answers 504: {}", resp.text());
     assert_eq!(resp.json().get("error").unwrap().as_str(), Some("deadline_exceeded"));
     assert_eq!(server.queue_depth(), 0, "the queue drained by eviction");
 
-    // Release the scheduler; fresh work completes normally.
+    // Release the hold; fresh work completes normally.
     edge_faults::remove("serve.dispatch.hold");
     let mut client = Client::connect(addr).unwrap();
     let resp = client.predict(&text).unwrap();

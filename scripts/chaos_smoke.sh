@@ -2,7 +2,7 @@
 # Chaos smoke gate: two layers of fault-matrix coverage.
 #
 # 1. The in-process chaos harness (`edge-bench --bin chaos`): torn
-#    frames, slow-loris, stalled readers, worker stalls, queue bursts,
+#    frames, slow-loris, stalled readers, event-loop stalls, queue bursts,
 #    corrupt-reload storms, and a forced brownout ladder against one
 #    live server, exiting non-zero on any invariant violation.
 # 2. The real `edge-cli serve` binary as a separate process: raw-socket
