@@ -2,16 +2,20 @@
 //! corpus, recording per-method wall time and process peak RSS, plus the
 //! metrics-layer counters (matmul/spmm FLOPs, tape ops, NER misses) for the
 //! EDGE runs, a speedup table for EDGE training (serial vs fresh-alloc vs
-//! the persistent `edge-par` pool vs forced scalar kernels), and the `simd_vs_scalar` microkernel comparison.
+//! the persistent `edge-par` pool vs forced scalar kernels), the
+//! `simd_vs_scalar` microkernel comparison, an Adam step with and without
+//! subnormal first moments (`adam_subnormal`), and a per-op self-time table
+//! (`op_profile`) from one traced EDGE training run after every timed leg.
 //!
 //! Usage: `cargo run --release -p edge-bench --bin bench_pipeline [--size default]`
 //!
 //! Writes `results/BENCH_pipeline.{json,txt}`. The JSON is an object:
 //! `{ "threads": N, "records": [...], "edge_speedup": {...},
-//!    "simd_vs_scalar": {...} }`.
+//!    "simd_vs_scalar": {...}, "adam_subnormal": {...}, "op_profile": [...] }`.
 
 use edge_bench::{
-    render_pipeline_table, render_simd_table, render_speedup_table, run_edge_speedup,
+    render_adam_subnormal, render_op_profile, render_pipeline_table, render_simd_table,
+    render_speedup_table, run_adam_subnormal_bench, run_edge_speedup, run_op_profile,
     run_pipeline_bench, run_simd_kernel_bench, HarnessConfig, MethodSet,
 };
 use edge_data::{nyma, PresetSize};
@@ -24,6 +28,9 @@ struct PipelineBenchOutput {
     records: Vec<edge_bench::PipelineBenchRecord>,
     edge_speedup: edge_bench::EdgeSpeedup,
     simd_vs_scalar: edge_bench::SimdKernelBench,
+    adam_subnormal: edge_bench::AdamSubnormalBench,
+    /// Per-span self time over one traced EDGE training, largest first.
+    op_profile: Vec<edge_bench::OpProfileRow>,
 }
 
 fn main() {
@@ -60,13 +67,25 @@ fn main() {
     edge_obs::progress!("== SIMD vs scalar microkernels ==");
     let simd_vs_scalar = run_simd_kernel_bench();
 
+    edge_obs::progress!("== Adam step with / without subnormal first moments ==");
+    let adam_subnormal = run_adam_subnormal_bench();
+    edge_obs::progress!("   {}", render_adam_subnormal(&adam_subnormal).trim_end());
+
+    // The traced run stays out of the counters, which cover the timed legs.
+    let metrics = edge_obs::metrics::snapshot().render();
+    edge_obs::progress!("== per-op self time (one traced EDGE training) ==");
+    let op_profile = run_op_profile(&dataset, &config.edge);
+
     let text = format!(
         "Pipeline bench ({size:?} scale): wall time + peak RSS per method\n{}\n\
-         EDGE training dispatch comparison\n{}\n{}\n{}",
+         EDGE training dispatch comparison\n{}\n{}\n{}\n\
+         Per-op self time, one traced EDGE training\n{}\n{}",
         render_pipeline_table(&records),
         render_speedup_table(&edge_speedup),
         render_simd_table(&simd_vs_scalar),
-        edge_obs::metrics::snapshot().render()
+        render_adam_subnormal(&adam_subnormal),
+        render_op_profile(&op_profile),
+        metrics
     );
     print!("{text}");
     let output = PipelineBenchOutput {
@@ -74,6 +93,8 @@ fn main() {
         records,
         edge_speedup,
         simd_vs_scalar,
+        adam_subnormal,
+        op_profile,
     };
     edge_bench::write_results("BENCH_pipeline", &output, &text).expect("write results");
     edge_obs::progress!("wrote results/BENCH_pipeline.{{json,txt}}");

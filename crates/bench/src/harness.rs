@@ -591,6 +591,161 @@ pub fn render_speedup_table(s: &EdgeSpeedup) -> String {
     out
 }
 
+/// One row of the per-op self-time table: a span name's calls and time over
+/// one traced EDGE training.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct OpProfileRow {
+    pub name: String,
+    pub calls: u64,
+    /// Time inside spans of this name, child spans included.
+    pub total_ms: f64,
+    /// Time inside spans of this name, child spans excluded.
+    pub self_ms: f64,
+    /// `self_ms` over the traced wall time (the root spans' total).
+    pub share: f64,
+}
+
+/// Trains EDGE once with span tracing on and returns each span's self time,
+/// sorted by it. Run it after every timed leg: tracing costs time, and the
+/// speed gates must not pay it.
+pub fn run_op_profile(dataset: &Dataset, config: &EdgeConfig) -> Vec<OpProfileRow> {
+    edge_obs::trace::reset();
+    edge_obs::set_trace_enabled(true);
+    run_edge_leg(dataset, config, "traced", &TrainOptions::default());
+    edge_obs::set_trace_enabled(false);
+    let profile = edge_obs::trace::profile();
+    edge_obs::trace::reset();
+    let wall_us = profile.root_total_us.max(1) as f64;
+    profile
+        .rows
+        .into_iter()
+        .map(|row| OpProfileRow {
+            name: row.name,
+            calls: row.calls,
+            total_ms: row.total_us as f64 / 1e3,
+            self_ms: row.self_us as f64 / 1e3,
+            share: row.self_us as f64 / wall_us,
+        })
+        .collect()
+}
+
+/// Renders the per-op self-time table as aligned text.
+pub fn render_op_profile(rows: &[OpProfileRow]) -> String {
+    let mut out = format!(
+        "{:<28} {:>8} {:>11} {:>11} {:>7}\n",
+        "Span", "Calls", "Total(ms)", "Self(ms)", "Self%"
+    );
+    for row in rows {
+        out.push_str(&format!(
+            "{:<28} {:>8} {:>11.2} {:>11.2} {:>6.1}%\n",
+            row.name,
+            row.calls,
+            row.total_ms,
+            row.self_ms,
+            100.0 * row.share
+        ));
+    }
+    out
+}
+
+/// The `adam_subnormal` section of `BENCH_pipeline.json`: one Adam step over
+/// the fast profile's 9,817 parameters, with and without first moments
+/// stuck at subnormal values under a zero gradient (dead ReLU units).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct AdamSubnormalBench {
+    /// Parameters in the optimizer state.
+    pub params: usize,
+    /// First moments at subnormal values in the subnormal leg.
+    pub subnormal_moments: usize,
+    /// Best per-step time with the subnormal moments.
+    pub subnormal_step_us: f64,
+    /// Best per-step time with those moments normal instead.
+    pub normal_step_us: f64,
+    /// `subnormal_step_us / normal_step_us`: ~1 when the moment arithmetic
+    /// avoids the subnormal assists, ~10 or more when it takes them.
+    pub ratio: f64,
+}
+
+/// Times [`edge_tensor::Adam`] steps on a synthetic late-training state: the
+/// EDGE fast profile's parameter shapes, past step 165 (so the first-moment
+/// bias correction is exactly 1), 3 lanes in 8 of the two GCN weights dead
+/// (zero gradient). The subnormal leg starts those lanes' first moments
+/// at 1–4 units of 2⁻¹⁴⁹, where `β₁·m` rounds back to `m`; the normal leg
+/// starts them at 1e-3, which stays normal over the timed steps. Each rep
+/// restores the state, times a run of steps, and the legs interleave; the
+/// best rep of each leg is kept.
+pub fn run_adam_subnormal_bench() -> AdamSubnormalBench {
+    use edge_tensor::optim::{AdamSlot, AdamState};
+    use edge_tensor::{Adam, Matrix, Optimizer, ParamId, ParamStore};
+    const SHAPES: [(usize, usize); 6] = [(64, 64), (64, 64), (64, 1), (1, 1), (64, 24), (1, 24)];
+    const STEPS: usize = 50;
+    const REPS: usize = 15;
+    let dead = |slot: usize, lane: usize| slot < 2 && lane % 8 < 3;
+    let state = |subnormal: bool| {
+        let slots = SHAPES
+            .iter()
+            .enumerate()
+            .map(|(id, &(r, c))| {
+                let m = (0..r * c)
+                    .map(|lane| match (dead(id, lane), subnormal) {
+                        (true, true) => f32::from_bits(1 + lane as u32 % 4),
+                        _ => 1e-3,
+                    })
+                    .collect();
+                AdamSlot { id, m: Matrix::from_vec(r, c, m), v: Matrix::full(r, c, 1e-6) }
+            })
+            .collect();
+        AdamState { t: 3_000, slots }
+    };
+    let mut params = ParamStore::new();
+    let ids: Vec<ParamId> = SHAPES
+        .iter()
+        .enumerate()
+        .map(|(i, &(r, c))| params.add(format!("p{i}"), Matrix::full(r, c, 0.1)))
+        .collect();
+    let grads: Vec<(ParamId, Matrix)> = ids
+        .iter()
+        .zip(SHAPES)
+        .enumerate()
+        .map(|(slot, (&id, (r, c)))| {
+            let g = (0..r * c).map(|lane| if dead(slot, lane) { 0.0 } else { 1e-3 }).collect();
+            (id, Matrix::from_vec(r, c, g))
+        })
+        .collect();
+    let legs = [state(true), state(false)];
+    let subnormal_moments =
+        legs[0].slots.iter().flat_map(|s| s.m.data()).filter(|m| m.is_subnormal()).count();
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..REPS {
+        for (leg, best) in legs.iter().zip(&mut best) {
+            let mut opt = Adam::paper_default();
+            opt.load_state(leg.clone());
+            let mut p = params.clone();
+            let start = std::time::Instant::now();
+            for _ in 0..STEPS {
+                opt.step(&mut p, &grads);
+            }
+            *best = best.min(start.elapsed().as_secs_f64() * 1e6 / STEPS as f64);
+            std::hint::black_box(&p);
+        }
+    }
+    AdamSubnormalBench {
+        params: SHAPES.iter().map(|(r, c)| r * c).sum(),
+        subnormal_moments,
+        subnormal_step_us: best[0],
+        normal_step_us: best[1],
+        ratio: best[0] / best[1],
+    }
+}
+
+/// Renders the `adam_subnormal` comparison as one line of text.
+pub fn render_adam_subnormal(s: &AdamSubnormalBench) -> String {
+    format!(
+        "Adam step, {} of {} first moments subnormal: {:.1}us vs {:.1}us normal ({:.2}x)\n",
+        s.subnormal_moments, s.params, s.subnormal_step_us, s.normal_step_us, s.ratio
+    )
+}
+
 /// One microkernel's SIMD-vs-scalar throughput comparison.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KernelLeg {

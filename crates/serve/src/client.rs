@@ -189,17 +189,22 @@ impl Client {
         extra_headers: &[(&str, &str)],
         body: &[u8],
     ) -> std::io::Result<Response> {
+        // One write: under TCP_NODELAY every fragment leaves as its own
+        // segment, and a server that rejects a header line (a bad
+        // `X-Deadline-Us`) answers and closes before the rest arrives, so
+        // writing the rest would fail with EPIPE before the answer is read.
+        let mut request = Vec::with_capacity(128 + body.len());
         write!(
-            self.writer,
+            request,
             "{method} {path} HTTP/1.1\r\nHost: edge-serve\r\nContent-Length: {}\r\n",
             body.len()
         )?;
         for (name, value) in extra_headers {
-            write!(self.writer, "{name}: {value}\r\n")?;
+            write!(request, "{name}: {value}\r\n")?;
         }
-        self.writer.write_all(b"\r\n")?;
-        self.writer.write_all(body)?;
-        self.writer.flush()?;
+        request.extend_from_slice(b"\r\n");
+        request.extend_from_slice(body);
+        self.writer.write_all(&request)?;
         self.read_response()
     }
 

@@ -4,6 +4,8 @@
 //! 0.01 and a weight decay of 0.01"; [`Adam::paper_default`] reproduces
 //! those hyper-parameters.
 
+use std::hint::black_box;
+
 use serde::{Deserialize, Serialize};
 
 use crate::matrix::Matrix;
@@ -161,37 +163,314 @@ impl Optimizer for Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let lanes = Lanes {
+            first: FirstMoment::new(self.beta1),
+            beta2: self.beta2,
+            bc2,
+            eps: self.eps,
+            lr: self.lr,
+        };
         for (id, g) in grads {
             let shape = g.shape();
-            {
-                let m = Self::slot(&mut self.m, *id, shape);
-                for (mi, &gi) in m.data_mut().iter_mut().zip(g.data()) {
-                    *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
-                }
-            }
-            {
-                let v = Self::slot(&mut self.v, *id, shape);
-                for (vi, &gi) in v.data_mut().iter_mut().zip(g.data()) {
-                    *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
-                }
-            }
+            Self::slot(&mut self.m, *id, shape);
+            Self::slot(&mut self.v, *id, shape);
             let decay = if self.no_decay.contains(&id.0) { 0.0 } else { self.weight_decay };
-            let m = self.m[id.0].as_ref().expect("just inserted");
-            let v = self.v[id.0].as_ref().expect("just inserted");
+            let m = self.m[id.0].as_mut().expect("just inserted").data_mut();
+            let v = self.v[id.0].as_mut().expect("just inserted").data_mut();
             let p = params.get_mut(*id);
             assert_eq!(p.shape(), shape, "gradient shape mismatch for param {}", id.0);
-            for ((pi, &mi), &vi) in p.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
-                let m_hat = mi / bc1;
-                let v_hat = vi / bc2;
-                *pi -= self.lr * (m_hat / (v_hat.sqrt() + self.eps) + decay * *pi);
+            let (p, g) = (p.data_mut(), g.data());
+            // Once `1 − β₁ᵗ` rounds to 1 (t ≥ 165 for β₁ = 0.9) the bias
+            // correction is the identity. It gets a loop of its own: in a
+            // shared loop LLVM computes both arms and selects, so the
+            // division would run anyway.
+            if bc1 == 1.0 {
+                lanes.update(p, m, v, g, decay, |m| m);
+            } else {
+                lanes.update(p, m, v, g, decay, |m| lanes.first.quotient(m, bc1));
             }
         }
+    }
+}
+
+/// One Adam step's constants, applied lane by lane.
+struct Lanes {
+    first: FirstMoment,
+    beta2: f32,
+    /// Bias correction `1 − β₂ᵗ`.
+    bc2: f32,
+    eps: f32,
+    lr: f32,
+}
+
+impl Lanes {
+    /// Updates one parameter's lanes: first moment, second moment, then the
+    /// parameter, each lane with the f32 step's operations and roundings.
+    /// `debias` is the division of the first moment by `1 − β₁ᵗ`.
+    #[inline(always)]
+    fn update(
+        &self,
+        p: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        g: &[f32],
+        decay: f32,
+        debias: impl Fn(f32) -> f32,
+    ) {
+        for (((pi, mi), vi), &gi) in p.iter_mut().zip(m).zip(v).zip(g) {
+            *mi = self.first.update(*mi, gi);
+            *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
+            let v_hat = *vi / self.bc2;
+            let step = self.first.quotient(debias(*mi), v_hat.sqrt() + self.eps);
+            *pi -= self.lr * (step + decay * *pi);
+        }
+    }
+}
+
+/// The f32 operations of one Adam step that compute or read the first
+/// moment `m`, evaluated through f64 and rounded back to f32 once.
+///
+/// Dead ReLU units get gradients of exactly 0, so their `m` decays by `β₁`
+/// every step until it is an f32 subnormal. On x86 an f32 multiply or
+/// divide with a subnormal operand or result takes a microcode assist (~50
+/// ns a lane on the Xeon measured in DESIGN.md) instead of a cycle. Widened
+/// to f64 the same values are normal, and the conversions and the f32
+/// additions cost nothing extra.
+///
+/// The bits are the f32 operation's, subnormal results included:
+/// - the f64 product of two f32 values is exact (24 + 24 ≤ 53 significand
+///   bits), so rounding it to f32 is the one rounding the f32 multiply does;
+/// - an f32 quotient taken as a correctly rounded f64 quotient and then
+///   rounded to f32 is the correctly rounded f32 quotient, because
+///   53 ≥ 2·24 + 2 makes the double rounding innocuous.
+///
+/// LLVM's InstCombine knows both facts too and narrows
+/// `(a as f64 * b as f64) as f32` back into an f32 multiply, assists and
+/// all. The factors therefore pass through [`black_box`] once per step,
+/// outside the lane loop, so they are f64 values the optimizer cannot prove
+/// to be widened f32s; multiplying by `one` makes a quotient's numerator
+/// such a value.
+#[derive(Clone, Copy)]
+struct FirstMoment {
+    /// `β₁`.
+    beta1: f64,
+    /// `1 − β₁`, rounded to f32 as the f32 expression rounds it.
+    one_minus_beta1: f64,
+    /// `1.0`, opaque to the optimizer.
+    one: f64,
+}
+
+impl FirstMoment {
+    fn new(beta1: f32) -> Self {
+        Self {
+            beta1: black_box(beta1 as f64),
+            one_minus_beta1: black_box((1.0 - beta1) as f64),
+            one: black_box(1.0),
+        }
+    }
+
+    /// `β₁·m + (1 − β₁)·g` with the f32 expression's bits.
+    #[inline(always)]
+    fn update(&self, m: f32, g: f32) -> f32 {
+        (self.beta1 * m as f64) as f32 + (self.one_minus_beta1 * g as f64) as f32
+    }
+
+    /// `num / den` with the f32 expression's bits.
+    #[inline(always)]
+    fn quotient(&self, num: f32, den: f32) -> f32 {
+        (num as f64 * self.one / den as f64) as f32
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The f32 Adam step as three passes over the lanes (first moment,
+    /// second moment, parameter update). [`Adam::step`] must reproduce its
+    /// every bit; it is kept only as that oracle.
+    fn reference_step(opt: &mut Adam, params: &mut ParamStore, grads: &[(ParamId, Matrix)]) {
+        opt.t += 1;
+        let bc1 = 1.0 - opt.beta1.powi(opt.t as i32);
+        let bc2 = 1.0 - opt.beta2.powi(opt.t as i32);
+        for (id, g) in grads {
+            let shape = g.shape();
+            {
+                let m = Adam::slot(&mut opt.m, *id, shape);
+                for (mi, &gi) in m.data_mut().iter_mut().zip(g.data()) {
+                    *mi = opt.beta1 * *mi + (1.0 - opt.beta1) * gi;
+                }
+            }
+            {
+                let v = Adam::slot(&mut opt.v, *id, shape);
+                for (vi, &gi) in v.data_mut().iter_mut().zip(g.data()) {
+                    *vi = opt.beta2 * *vi + (1.0 - opt.beta2) * gi * gi;
+                }
+            }
+            let decay = if opt.no_decay.contains(&id.0) { 0.0 } else { opt.weight_decay };
+            let m = opt.m[id.0].as_ref().expect("just inserted");
+            let v = opt.v[id.0].as_ref().expect("just inserted");
+            let p = params.get_mut(*id);
+            for ((pi, &mi), &vi) in p.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
+                let m_hat = mi / bc1;
+                let v_hat = vi / bc2;
+                *pi -= opt.lr * (m_hat / (v_hat.sqrt() + opt.eps) + decay * *pi);
+            }
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn moment_bits(opt: &Adam) -> Vec<Vec<u32>> {
+        opt.m.iter().chain(&opt.v).flatten().map(|m| bits(m.data())).collect()
+    }
+
+    #[test]
+    fn first_moment_update_is_f32_exact_on_every_tiny_m() {
+        // Every f32 whose exponent field is 0 or 1 (the subnormals and the
+        // smallest normal binade, both signs, ±0 included): the regime dead
+        // units decay into, where β₁·m rounds to a subnormal.
+        for beta1 in [0.5f32, 0.9, 0.99] {
+            let first = FirstMoment::new(beta1);
+            let b1 = black_box(beta1);
+            for g in [0.0f32, -0.0] {
+                for magnitude in 0..(2u32 << 23) {
+                    for sign in [0, 1u32 << 31] {
+                        let m = f32::from_bits(sign | magnitude);
+                        let want = b1 * m + (1.0 - b1) * g;
+                        let got = first.update(m, g);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "beta1 {beta1}, m {m:e} ({:#010x}), g {g}: {got:e} vs {want:e}",
+                            m.to_bits()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quotients_are_f32_exact_for_subnormal_and_normal_numerators() {
+        let mut rng = StdRng::seed_from_u64(0xADA3);
+        let first = FirstMoment::new(0.9);
+        for i in 0..1_200_000u32 {
+            // Half the numerators are subnormal (exponent field 0), half are
+            // normal with any exponent; the denominators cover everything
+            // `√v̂ + ε` can be and beyond.
+            let exponent = if i % 2 == 0 { 0 } else { rng.gen_range(1u32..255) };
+            let num = f32::from_bits((rng.gen::<u32>() & 0x807F_FFFF) | (exponent << 23));
+            let den = f32::from_bits(rng.gen_range(1u32..0x7F80_0000));
+            let want = black_box(num) / black_box(den);
+            let got = first.quotient(num, den);
+            assert_eq!(got.to_bits(), want.to_bits(), "{num:e} / {den:e}: {got:e} vs {want:e}");
+        }
+        // The bias correction divides by 1 − β₁ᵗ while that is below 1.
+        for t in 1..165 {
+            let bc1 = 1.0 - 0.9f32.powi(t);
+            assert!(bc1 < 1.0, "t {t}");
+            for _ in 0..1_000 {
+                // Exponent field ≤ 31: subnormal and tiny normal moments.
+                let m = f32::from_bits(rng.gen::<u32>() & 0x8FFF_FFFF);
+                let want = black_box(m) / black_box(bc1);
+                assert_eq!(first.quotient(m, bc1).to_bits(), want.to_bits(), "t {t}, m {m:e}");
+            }
+        }
+        assert_eq!(1.0 - 0.9f32.powi(165), 1.0);
+    }
+
+    /// Gradients where the `dead` lanes are exactly zero after the first
+    /// steps, like a ReLU unit that stopped firing.
+    fn dead_lane_grads(
+        params: &ParamStore,
+        ids: &[ParamId],
+        step: usize,
+    ) -> Vec<(ParamId, Matrix)> {
+        ids.iter()
+            .map(|&id| {
+                let mut g = quadratic_grad(params, id, 0.25);
+                for (lane, gi) in g.data_mut().iter_mut().enumerate() {
+                    if lane % 3 == 0 && step >= 5 {
+                        *gi = if lane % 2 == 0 { 0.0 } else { -0.0 };
+                    }
+                }
+                (id, g)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn step_matches_three_pass_f32_step_through_subnormal_moments() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut params = ParamStore::new();
+        let ids = [
+            params.add("w", Matrix::random_uniform(16, 24, 1e-3, &mut rng)),
+            params.add("b", Matrix::random_uniform(1, 24, 1e-3, &mut rng)),
+        ];
+        let mut reference_params = params.clone();
+        let mut opt = Adam::paper_default();
+        opt.exclude_from_decay(ids[1]);
+        let mut reference = opt.clone();
+        let mut saw_subnormal = false;
+        for step in 0..1_200 {
+            let grads = dead_lane_grads(&params, &ids, step);
+            opt.step(&mut params, &grads);
+            let grads = dead_lane_grads(&reference_params, &ids, step);
+            reference_step(&mut reference, &mut reference_params, &grads);
+            for &id in &ids {
+                assert_eq!(
+                    bits(params.get(id).data()),
+                    bits(reference_params.get(id).data()),
+                    "step {step}"
+                );
+            }
+            assert_eq!(moment_bits(&opt), moment_bits(&reference), "step {step}");
+            saw_subnormal |=
+                opt.m.iter().flatten().flat_map(|m| m.data()).any(|x| x.is_subnormal());
+        }
+        assert!(saw_subnormal, "the run never reached a subnormal first moment");
+    }
+
+    #[test]
+    fn checkpoint_keeps_subnormal_and_negative_zero_moments_and_resumes_bitwise() {
+        let mut params = ParamStore::new();
+        let ids = [params.add("w", Matrix::full(4, 6, 0.5)), params.add("b", Matrix::zeros(1, 6))];
+        let mut opt = Adam::paper_default();
+        for step in 0..1_000 {
+            let grads = dead_lane_grads(&params, &ids, step);
+            opt.step(&mut params, &grads);
+        }
+        let first_moments: Vec<f32> =
+            opt.m.iter().flatten().flat_map(|m| m.data()).copied().collect();
+        assert!(first_moments.iter().any(|x| x.is_subnormal()), "{first_moments:?}");
+        // −0 moments are rare in a run; plant one to check it survives too.
+        opt.m[ids[1].0].as_mut().unwrap().data_mut()[0] = -0.0;
+
+        let json = serde_json::to_string(&opt.export_state()).expect("serialize");
+        let state: AdamState = serde_json::from_str(&json).expect("deserialize");
+        let mut resumed = Adam::paper_default();
+        resumed.load_state(state);
+        assert_eq!(resumed.steps(), opt.steps());
+        assert_eq!(moment_bits(&resumed), moment_bits(&opt));
+        assert_eq!(resumed.m[ids[1].0].as_ref().unwrap().data()[0].to_bits(), (-0.0f32).to_bits());
+
+        let mut resumed_params = params.clone();
+        for step in 1_000..1_300 {
+            let grads = dead_lane_grads(&params, &ids, step);
+            opt.step(&mut params, &grads);
+            let grads = dead_lane_grads(&resumed_params, &ids, step);
+            resumed.step(&mut resumed_params, &grads);
+        }
+        for &id in &ids {
+            assert_eq!(bits(params.get(id).data()), bits(resumed_params.get(id).data()));
+        }
+        assert_eq!(moment_bits(&resumed), moment_bits(&opt));
+    }
 
     /// Minimizes f(w) = (w - target)^2 elementwise; gradient is 2(w-target).
     fn quadratic_grad(params: &ParamStore, id: ParamId, target: f32) -> Matrix {

@@ -10,6 +10,10 @@
 #    fresh-alloc reference leg reports plenty, and the pooled train loop has
 #    not regressed past 1.2x the fresh-alloc leg measured in the same run
 #    (a same-machine baseline, so the gate is load-independent).
+# 3. Checks that an Adam step over first moments stuck at subnormal values
+#    costs at most 2x a step over normal ones (`adam_subnormal`): the
+#    first-moment arithmetic runs through f64, and a compiler that narrowed
+#    it back to f32 would bring back the ~12x subnormal assists.
 #
 # Usage: scripts/perf_smoke.sh
 set -euo pipefail
@@ -48,7 +52,15 @@ assert pooled_secs <= 1.2 * fresh_secs, (
     f"arena train loop regressed: {pooled_secs:.2f}s pooled vs "
     f"{fresh_secs:.2f}s fresh-alloc baseline"
 )
+adam = out["adam_subnormal"]
+assert adam["subnormal_moments"] > 0, "no subnormal first moments in the Adam leg"
+assert adam["ratio"] <= 2.0, (
+    f"Adam step with {adam['subnormal_moments']} subnormal first moments: "
+    f"{adam['subnormal_step_us']:.1f}us vs {adam['normal_step_us']:.1f}us "
+    f"({adam['ratio']:.2f}x > 2.0x)"
+)
 print(f"perf smoke OK: 0 allocs/batch on arena legs "
       f"({fresh['allocs_per_batch']} fresh), "
-      f"arena speedup {out['edge_speedup']['arena_speedup']:.2f}x")
+      f"arena speedup {out['edge_speedup']['arena_speedup']:.2f}x, "
+      f"subnormal Adam step {adam['ratio']:.2f}x")
 EOF
