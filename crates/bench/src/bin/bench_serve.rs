@@ -32,6 +32,10 @@
 //!   two-shard routed vs single-shard (the single-model path
 //!   short-circuits routing entirely; the two-shard side pays one extra
 //!   union-gazetteer pass per text for the routing decision).
+//! - `render` — in process, no sockets: `json::render_response` against
+//!   a `Display`-based reference renderer over every answered test text,
+//!   interleaved best-of-15 ns per response. The two must agree byte for
+//!   byte; `scripts/perf_smoke.sh` gates `ratio` at <= 0.5.
 //!
 //! Usage: `cargo run --release -p edge-bench --bin bench_serve [--size smoke]`
 //!
@@ -42,7 +46,12 @@
 use std::net::TcpStream;
 use std::time::Instant;
 
-use edge_core::{ArtifactLoad, EdgeModel, ModelArtifact, PredictOptions, Predictor, QuantMode};
+use std::hint::black_box;
+
+use edge_core::{
+    ArtifactLoad, EdgeModel, ModelArtifact, PredictOptions, PredictRequest, PredictResponse,
+    Predictor, QuantMode,
+};
 use edge_obs::ring::{STAGE_BATCH, STAGE_INFERENCE, STAGE_PARSE, STAGE_QUEUE, STAGE_SERIALIZE};
 use edge_serve::{Client, ServeConfig, Server};
 use serde::Serialize;
@@ -170,6 +179,19 @@ struct Quantization {
     modes: Vec<QuantLeg>,
 }
 
+/// The response writer against the `Display`-based renderer it replaced.
+#[derive(Serialize)]
+struct RenderBench {
+    responses: usize,
+    floats_per_response: f64,
+    /// Best-of-reps nanoseconds per response, `json::render_response`.
+    render_ns: f64,
+    /// The same for [`render_display`].
+    display_ns: f64,
+    /// `render_ns / display_ns`; `scripts/perf_smoke.sh` gates it at <= 0.5.
+    ratio: f64,
+}
+
 #[derive(Serialize)]
 struct ServeBenchOutput {
     threads: usize,
@@ -188,6 +210,7 @@ struct ServeBenchOutput {
     lone_request: LoneRequest,
     high_concurrency: HighConcurrency,
     quantization: Quantization,
+    render: RenderBench,
 }
 
 fn percentile(sorted_us: &[f64], p: f64) -> f64 {
@@ -516,6 +539,101 @@ fn run_quantization(model: &EdgeModel, test: &[edge_data::Tweet], mmap_path: &st
     Quantization { f32_artifact_bytes, f32_mean_km, modes }
 }
 
+/// `json::render_response` as it was written with `core::fmt`: every float
+/// through `Display`, names escaped per `char`. The byte oracle and the
+/// baseline of the `render` leg.
+fn render_display(resp: &PredictResponse) -> Vec<u8> {
+    use std::fmt::Write;
+    let num = |out: &mut String, x: f64| match x.is_finite() {
+        true => write!(out, "{x}").unwrap(),
+        false => out.push_str("null"),
+    };
+    let p = &resp.prediction;
+    let mut out = String::with_capacity(256);
+    out.push_str("{\"point\":{\"lat\":");
+    num(&mut out, p.point.lat);
+    out.push_str(",\"lon\":");
+    num(&mut out, p.point.lon);
+    out.push_str("},\"mixture\":[");
+    for (i, (weight, g)) in p.mixture.iter().enumerate() {
+        out.push_str(if i > 0 { ",{\"weight\":" } else { "{\"weight\":" });
+        num(&mut out, weight);
+        out.push_str(",\"mu\":{\"lat\":");
+        num(&mut out, g.mu.lat);
+        out.push_str(",\"lon\":");
+        num(&mut out, g.mu.lon);
+        out.push_str("},\"sigma_lat\":");
+        num(&mut out, g.sigma_lat);
+        out.push_str(",\"sigma_lon\":");
+        num(&mut out, g.sigma_lon);
+        out.push_str(",\"rho\":");
+        num(&mut out, g.rho);
+        out.push('}');
+    }
+    out.push_str("],\"attention\":[");
+    for (i, (name, w)) in p.attention.iter().enumerate() {
+        out.push_str(if i > 0 { ",[\"" } else { "[\"" });
+        for c in name.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                c => out.push(c),
+            }
+        }
+        out.push_str("\",");
+        match w.is_finite() {
+            true => write!(out, "{w}").unwrap(),
+            false => out.push_str("null"),
+        }
+        out.push(']');
+    }
+    write!(out, "],\"from_fallback\":{}}}", resp.from_fallback).unwrap();
+    out.into_bytes()
+}
+
+/// The `render` leg: both renderers over every answered test text,
+/// alternating, the best of `REPS` passes kept for each.
+fn run_render(model: &EdgeModel, test: &[edge_data::Tweet]) -> RenderBench {
+    const REPS: usize = 15;
+    let opts = PredictOptions::default();
+    let responses: Vec<PredictResponse> = test
+        .iter()
+        .filter_map(|t| model.locate(&PredictRequest::text(&t.text), &opts).ok())
+        .collect();
+    assert!(!responses.is_empty(), "no answered test text");
+    for resp in &responses {
+        let (new, reference) = (edge_serve::json::render_response(resp), render_display(resp));
+        assert!(new == reference, "renderers disagree:\n{}", String::from_utf8_lossy(&reference));
+    }
+    let floats: usize = responses
+        .iter()
+        .map(|r| 2 + 6 * r.prediction.mixture.len() + r.prediction.attention.len())
+        .sum();
+    let per_response = |render: fn(&PredictResponse) -> Vec<u8>| {
+        let started = Instant::now();
+        for resp in &responses {
+            black_box(render(black_box(resp)));
+        }
+        started.elapsed().as_nanos() as f64 / responses.len() as f64
+    };
+    let (mut render_ns, mut display_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..REPS {
+        render_ns = render_ns.min(per_response(edge_serve::json::render_response));
+        display_ns = display_ns.min(per_response(render_display));
+    }
+    RenderBench {
+        responses: responses.len(),
+        floats_per_response: floats as f64 / responses.len() as f64,
+        render_ns,
+        display_ns,
+        ratio: render_ns / display_ns,
+    }
+}
+
 fn main() {
     if let Ok(spec) = std::env::var("EDGE_BENCH_HERD") {
         herd_child(&spec);
@@ -740,6 +858,14 @@ fn main() {
         );
     }
 
+    let render = run_render(&model, test);
+    edge_obs::progress!(
+        "   render          {:>7.0} ns vs {:.0} ns Display per response ({:.2}x)",
+        render.render_ns,
+        render.display_ns,
+        render.ratio
+    );
+
     let speedup = batched.texts_per_sec / unbatched.texts_per_sec;
     let cold_speedup = batched_cold.texts_per_sec / unbatched_cold.texts_per_sec;
     let legs = vec![unbatched, batched, unbatched_cold, batched_cold];
@@ -754,7 +880,7 @@ fn main() {
         })
         .collect();
     let text = format!(
-        "Serve bench ({size:?} scale): closed-loop POST /predict over real sockets\n{}{}\nobs overhead (warm batched, metrics on vs off): {:.2}%\nrobustness overhead (warm batched, deadlines+budgets+brownout on vs off): {:.2}%\nrouter overhead (warm batched, two-shard routed vs single-shard): {:.2}%\nmulti-shard: {:.0} texts/sec across {} shards\nlone request (1 text, cache off): p50 {:.0} us, queue {:.0} us\nhigh-concurrency: {} idle keep-alive conns held, p50 {:.0} us, p99 {:.0} us\n{}",
+        "Serve bench ({size:?} scale): closed-loop POST /predict over real sockets\n{}{}\nobs overhead (warm batched, metrics on vs off): {:.2}%\nrobustness overhead (warm batched, deadlines+budgets+brownout on vs off): {:.2}%\nrouter overhead (warm batched, two-shard routed vs single-shard): {:.2}%\nmulti-shard: {:.0} texts/sec across {} shards\nlone request (1 text, cache off): p50 {:.0} us, queue {:.0} us\nhigh-concurrency: {} idle keep-alive conns held, p50 {:.0} us, p99 {:.0} us\n{}render ({} responses, {:.1} floats each): {:.0} ns vs {:.0} ns Display per response, ratio {:.2}\n",
         render_table(&legs, speedup),
         render_stage_table(&legs),
         obs_overhead.overhead_frac * 100.0,
@@ -768,6 +894,11 @@ fn main() {
         high_concurrency.p50_us,
         high_concurrency.p99_us,
         quant_lines,
+        render.responses,
+        render.floats_per_response,
+        render.render_ns,
+        render.display_ns,
+        render.ratio,
     );
     print!("{text}");
     let output = ServeBenchOutput {
@@ -784,6 +915,7 @@ fn main() {
         lone_request,
         high_concurrency,
         quantization,
+        render,
     };
     edge_bench::write_results("BENCH_serve", &output, &text).expect("write results");
     std::fs::remove_file(&model_path).ok();

@@ -601,7 +601,8 @@ pub struct OpProfileRow {
     pub total_ms: f64,
     /// Time inside spans of this name, child spans excluded.
     pub self_ms: f64,
-    /// `self_ms` over the traced wall time (the root spans' total).
+    /// `self_ms` over every row's self time, so the shares sum to 1 (the
+    /// traced wall time is smaller: pool workers' spans overlap).
     pub share: f64,
 }
 
@@ -615,7 +616,7 @@ pub fn run_op_profile(dataset: &Dataset, config: &EdgeConfig) -> Vec<OpProfileRo
     edge_obs::set_trace_enabled(false);
     let profile = edge_obs::trace::profile();
     edge_obs::trace::reset();
-    let wall_us = profile.root_total_us.max(1) as f64;
+    let self_us = profile.rows.iter().map(|row| row.self_us).sum::<u64>().max(1) as f64;
     profile
         .rows
         .into_iter()
@@ -624,7 +625,7 @@ pub fn run_op_profile(dataset: &Dataset, config: &EdgeConfig) -> Vec<OpProfileRo
             calls: row.calls,
             total_ms: row.total_us as f64 / 1e3,
             self_ms: row.self_us as f64 / 1e3,
-            share: row.self_us as f64 / wall_us,
+            share: row.self_us as f64 / self_us,
         })
         .collect()
 }

@@ -345,20 +345,26 @@ pub struct Profile {
 
 /// Aggregate the given records into a profile table.
 ///
-/// Self time is total time minus the total of direct children, so summing
-/// `self_us` over all rows recovers `root_total_us` exactly: the table
-/// attributes 100% of traced wall time to named spans.
+/// A span's self time is its duration minus the union of its direct
+/// children's intervals, clipped to the span. When no span has concurrent
+/// children, summing `self_us` over all rows recovers `root_total_us`
+/// exactly: the table attributes 100% of traced wall time to named spans.
+/// Children that overlap — `edge_par` workers adopting one submitter's
+/// context — each keep their own time, so then the sum exceeds the wall
+/// time.
 pub fn profile_of(records: &[SpanRecord]) -> Profile {
-    let mut child_time: HashMap<u64, u64> = HashMap::new();
+    let mut children: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
     for rec in records {
         if rec.parent != 0 {
-            *child_time.entry(rec.parent).or_insert(0) += rec.dur_us;
+            children.entry(rec.parent).or_default().push((rec.start_us, rec.start_us + rec.dur_us));
         }
     }
     let mut by_name: HashMap<&str, ProfileRow> = HashMap::new();
     let mut root_total_us = 0u64;
     for rec in records {
-        let children = child_time.get(&rec.id).copied().unwrap_or(0);
+        let covered = children
+            .get_mut(&rec.id)
+            .map_or(0, |intervals| covered_us(intervals, rec.start_us, rec.start_us + rec.dur_us));
         let row = by_name.entry(rec.name).or_insert_with(|| ProfileRow {
             name: rec.name.to_string(),
             calls: 0,
@@ -367,7 +373,7 @@ pub fn profile_of(records: &[SpanRecord]) -> Profile {
         });
         row.calls += 1;
         row.total_us += rec.dur_us;
-        row.self_us += rec.dur_us.saturating_sub(children);
+        row.self_us += rec.dur_us - covered;
         if rec.parent == 0 {
             root_total_us += rec.dur_us;
         }
@@ -375,6 +381,21 @@ pub fn profile_of(records: &[SpanRecord]) -> Profile {
     let mut rows: Vec<ProfileRow> = by_name.into_values().collect();
     rows.sort_by(|a, b| b.self_us.cmp(&a.self_us).then(a.name.cmp(&b.name)));
     Profile { rows, root_total_us }
+}
+
+/// Length of the union of `intervals` (`[start, end)` in µs) within
+/// `[lo, hi)`.
+fn covered_us(intervals: &mut [(u64, u64)], lo: u64, hi: u64) -> u64 {
+    intervals.sort_unstable();
+    let (mut covered, mut reach) = (0, lo);
+    for &(start, end) in intervals.iter() {
+        let (start, end) = (start.max(reach), end.min(hi));
+        if end > start {
+            covered += end - start;
+            reach = end;
+        }
+    }
+    covered
 }
 
 /// Profile of the current global trace buffer.
@@ -429,5 +450,33 @@ fn format_us(us: u64) -> String {
         format!("{:.2}ms", us as f64 / 1e3)
     } else {
         format!("{:.3}s", us as f64 / 1e6)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn span(id: u64, parent: u64, name: &'static str, start_us: u64, dur_us: u64) -> SpanRecord {
+        SpanRecord { id, parent, name, thread: id, request: 0, start_us, dur_us }
+    }
+
+    /// Two workers' spans overlapping under one parent: the parent's self
+    /// time is what the union of the two leaves uncovered, not zero.
+    #[test]
+    fn concurrent_children_leave_the_parent_its_uncovered_time() {
+        let records = [
+            span(1, 0, "batch", 100, 50),
+            span(2, 1, "item", 110, 30), // 110..140
+            span(3, 1, "item", 120, 25), // 120..145
+            span(4, 1, "item", 148, 10), // 148..158, clipped at 150
+        ];
+        let profile = profile_of(&records);
+        let row = |name: &str| profile.rows.iter().find(|r| r.name == name).unwrap().clone();
+        // Covered: 110..145 and 148..150, 37 µs of the parent's 50.
+        assert_eq!(row("batch").self_us, 13);
+        assert_eq!(row("item").self_us, 65);
+        assert_eq!(row("item").calls, 3);
+        assert_eq!(profile.root_total_us, 50);
     }
 }

@@ -11,8 +11,9 @@
 //! request, so an idle keep-alive connection can sit forever while a
 //! half-sent request cannot.
 
-use std::io::{self, Write};
 use std::time::Duration;
+
+use crate::float::write_u64;
 
 /// Header-count cap so a hostile client cannot balloon memory.
 const MAX_HEADERS: usize = 64;
@@ -149,16 +150,20 @@ fn find_line(buf: &[u8], from: usize) -> Option<usize> {
     buf[from..].iter().position(|&b| b == b'\n').map(|i| from + i)
 }
 
-/// Writes one response with `Content-Length` framing, plus extra headers
-/// (e.g. `X-Request-Id`) ahead of the body.
+/// Appends one response with `Content-Length` framing, plus extra headers
+/// (e.g. `X-Request-Id`) ahead of the body, reserving its size once.
 pub fn write_response_with(
-    stream: &mut impl Write,
+    out: &mut Vec<u8>,
     status: u16,
     content_type: &str,
     extra_headers: &[(&str, &str)],
     body: &[u8],
     keep_alive: bool,
-) -> io::Result<()> {
+) {
+    // The status line and fixed headers at their longest (a 5-digit
+    // status, a 20-digit length, `keep-alive`), without the texts sized
+    // below.
+    const FIXED: usize = 97;
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
@@ -172,18 +177,27 @@ pub fn write_response_with(
         504 => "Gateway Timeout",
         _ => "Unknown",
     };
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        stream,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
-        body.len()
-    )?;
+    let extra: usize = extra_headers.iter().map(|(name, value)| name.len() + value.len() + 4).sum();
+    out.reserve(FIXED + reason.len() + content_type.len() + extra + body.len());
+    out.extend_from_slice(b"HTTP/1.1 ");
+    write_u64(out, status as u64);
+    out.push(b' ');
+    out.extend_from_slice(reason.as_bytes());
+    out.extend_from_slice(b"\r\nContent-Type: ");
+    out.extend_from_slice(content_type.as_bytes());
+    out.extend_from_slice(b"\r\nContent-Length: ");
+    write_u64(out, body.len() as u64);
+    out.extend_from_slice(b"\r\nConnection: ");
+    out.extend_from_slice(if keep_alive { b"keep-alive" } else { b"close" });
+    out.extend_from_slice(b"\r\n");
     for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(b": ");
+        out.extend_from_slice(value.as_bytes());
+        out.extend_from_slice(b"\r\n");
     }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body)?;
-    stream.flush()
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
 }
 
 #[cfg(test)]
@@ -257,8 +271,7 @@ mod tests {
             &[("X-Request-Id", "req-3")],
             b"{}",
             true,
-        )
-        .unwrap();
+        );
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("\r\nX-Request-Id: req-3\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
@@ -331,7 +344,7 @@ mod tests {
     #[test]
     fn response_is_framed() {
         let mut out = Vec::new();
-        write_response_with(&mut out, 200, "application/json", &[], b"{}", true).unwrap();
+        write_response_with(&mut out, 200, "application/json", &[], b"{}", true);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));

@@ -3,10 +3,17 @@
 //!
 //! The writer matters: rendering is the only per-text cost besides
 //! inference itself, and the bit-identity guarantee rides on it. Floats
-//! are written with Rust's `Display`, which produces the shortest string
-//! that round-trips — so a client (or test) parsing the JSON recovers the
-//! exact `f64`/`f32` bits the model produced.
+//! are written by the Ryū-based writer in `float.rs`, byte for byte what
+//! Rust's `Display` writes — the shortest string that round-trips — so a
+//! client (or test) parsing the JSON recovers the exact `f64`/`f32` bits
+//! the model produced, without a `core::fmt` call per float. Its oracle is
+//! `Display` itself: the tests below render every answered NYMA-smoke
+//! test text both ways, and `float.rs` compares single floats over random
+//! bit patterns and edge cases (and, ignored by default, every `f32`).
 
+use std::cell::RefCell;
+
+use crate::float::{write_f32, write_f64};
 use edge_core::{PredictError, PredictResponse};
 
 /// A parsed `POST /predict` body.
@@ -51,39 +58,45 @@ pub fn parse_predict_body(body: &[u8]) -> Result<PredictBody, String> {
 }
 
 fn push_escaped(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push(b'"');
-    for c in s.chars() {
-        match c {
-            '"' => out.extend_from_slice(b"\\\""),
-            '\\' => out.extend_from_slice(b"\\\\"),
-            '\n' => out.extend_from_slice(b"\\n"),
-            '\r' => out.extend_from_slice(b"\\r"),
-            '\t' => out.extend_from_slice(b"\\t"),
-            c if (c as u32) < 0x20 => {
-                out.extend_from_slice(format!("\\u{:04x}", c as u32).as_bytes())
-            }
-            c => {
-                let mut buf = [0u8; 4];
-                out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
+    // Every escape is of an ASCII byte, and no byte of a multi-byte UTF-8
+    // character needs one, so the string is scanned as bytes and copied
+    // in runs.
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.extend_from_slice(&bytes[start..i]);
+        start = i + 1;
+        match b {
+            b'"' | b'\\' => out.extend_from_slice(&[b'\\', b]),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            _ => {
+                let hex = |nibble: u8| HEX[nibble as usize];
+                out.extend_from_slice(&[b'\\', b'u', b'0', b'0', hex(b >> 4), hex(b & 15)]);
             }
         }
     }
+    out.extend_from_slice(&bytes[start..]);
     out.push(b'"');
 }
 
 fn push_f64(out: &mut Vec<u8>, x: f64) {
-    use std::io::Write;
     if x.is_finite() {
-        write!(out, "{x}").expect("write to Vec");
+        write_f64(out, x);
     } else {
         out.extend_from_slice(b"null");
     }
 }
 
 fn push_f32(out: &mut Vec<u8>, x: f32) {
-    use std::io::Write;
     if x.is_finite() {
-        write!(out, "{x}").expect("write to Vec");
+        write_f32(out, x);
     } else {
         out.extend_from_slice(b"null");
     }
@@ -106,30 +119,45 @@ pub fn render_response_degraded(resp: &PredictResponse) -> Vec<u8> {
     render_response_inner(resp, true)
 }
 
+thread_local! {
+    /// Each thread's rendering buffer. An answer is written here and
+    /// copied out at its exact size, so the buffer a cache entry keeps is
+    /// allocated once and holds no spare capacity.
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
 fn render_response_inner(resp: &PredictResponse, degraded: bool) -> Vec<u8> {
+    SCRATCH.with(|scratch| {
+        let out = &mut *scratch.borrow_mut();
+        out.clear();
+        write_prediction(out, resp, degraded);
+        out.to_vec()
+    })
+}
+
+fn write_prediction(out: &mut Vec<u8>, resp: &PredictResponse, degraded: bool) {
     let p = &resp.prediction;
-    let mut out = Vec::with_capacity(256);
     out.extend_from_slice(b"{\"point\":{\"lat\":");
-    push_f64(&mut out, p.point.lat);
+    push_f64(out, p.point.lat);
     out.extend_from_slice(b",\"lon\":");
-    push_f64(&mut out, p.point.lon);
+    push_f64(out, p.point.lon);
     out.extend_from_slice(b"},\"mixture\":[");
     for (i, (weight, g)) in p.mixture.iter().enumerate() {
         if i > 0 {
             out.push(b',');
         }
         out.extend_from_slice(b"{\"weight\":");
-        push_f64(&mut out, weight);
+        push_f64(out, weight);
         out.extend_from_slice(b",\"mu\":{\"lat\":");
-        push_f64(&mut out, g.mu.lat);
+        push_f64(out, g.mu.lat);
         out.extend_from_slice(b",\"lon\":");
-        push_f64(&mut out, g.mu.lon);
+        push_f64(out, g.mu.lon);
         out.extend_from_slice(b"},\"sigma_lat\":");
-        push_f64(&mut out, g.sigma_lat);
+        push_f64(out, g.sigma_lat);
         out.extend_from_slice(b",\"sigma_lon\":");
-        push_f64(&mut out, g.sigma_lon);
+        push_f64(out, g.sigma_lon);
         out.extend_from_slice(b",\"rho\":");
-        push_f64(&mut out, g.rho);
+        push_f64(out, g.rho);
         out.push(b'}');
     }
     out.extend_from_slice(b"],\"attention\":[");
@@ -138,9 +166,9 @@ fn render_response_inner(resp: &PredictResponse, degraded: bool) -> Vec<u8> {
             out.push(b',');
         }
         out.push(b'[');
-        push_escaped(&mut out, name);
+        push_escaped(out, name);
         out.push(b',');
-        push_f32(&mut out, *w);
+        push_f32(out, *w);
         out.push(b']');
     }
     out.extend_from_slice(b"],\"from_fallback\":");
@@ -149,7 +177,6 @@ fn render_response_inner(resp: &PredictResponse, degraded: bool) -> Vec<u8> {
         out.extend_from_slice(b",\"degraded\":true");
     }
     out.push(b'}');
-    out
 }
 
 /// The typed `DeadlineExceeded` fragment (HTTP 504): what a queued text
@@ -209,6 +236,136 @@ mod tests {
                 attention: vec![("Central \"Park\"".to_string(), 0.75f32)],
             },
             from_fallback: false,
+        }
+    }
+
+    /// The `Display`-based renderer `render_response_inner` replaced:
+    /// the byte oracle for the float writer and the escaping.
+    fn display_reference(resp: &PredictResponse, degraded: bool) -> Vec<u8> {
+        use std::fmt::Write;
+        fn num(out: &mut String, x: impl std::fmt::Display, finite: bool) {
+            if finite {
+                write!(out, "{x}").unwrap();
+            } else {
+                out.push_str("null");
+            }
+        }
+        fn string(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+        let p = &resp.prediction;
+        let mut out = String::new();
+        out.push_str("{\"point\":{\"lat\":");
+        num(&mut out, p.point.lat, p.point.lat.is_finite());
+        out.push_str(",\"lon\":");
+        num(&mut out, p.point.lon, p.point.lon.is_finite());
+        out.push_str("},\"mixture\":[");
+        for (i, (weight, g)) in p.mixture.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let fields = [
+                ("{\"weight\":", weight),
+                (",\"mu\":{\"lat\":", g.mu.lat),
+                (",\"lon\":", g.mu.lon),
+                ("},\"sigma_lat\":", g.sigma_lat),
+                (",\"sigma_lon\":", g.sigma_lon),
+                (",\"rho\":", g.rho),
+            ];
+            for (key, x) in fields {
+                out.push_str(key);
+                num(&mut out, x, x.is_finite());
+            }
+            out.push('}');
+        }
+        out.push_str("],\"attention\":[");
+        for (i, (name, w)) in p.attention.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            string(&mut out, name);
+            out.push(',');
+            num(&mut out, w, w.is_finite());
+            out.push(']');
+        }
+        write!(out, "],\"from_fallback\":{}", resp.from_fallback).unwrap();
+        if degraded {
+            out.push_str(",\"degraded\":true");
+        }
+        out.push('}');
+        out.into_bytes()
+    }
+
+    /// Asserts both renderings equal the reference and hold no spare
+    /// capacity.
+    fn assert_renders_like_display(resp: &PredictResponse) {
+        let full = render_response(resp);
+        assert_eq!(
+            String::from_utf8_lossy(&full),
+            String::from_utf8_lossy(&display_reference(resp, false))
+        );
+        let degraded = render_response_degraded(resp);
+        assert_eq!(degraded, display_reference(resp, true));
+        assert_eq!(full.capacity(), full.len(), "allocated at its exact size");
+    }
+
+    /// Every answered test text of NYMA-smoke under the fast profile
+    /// renders to the bytes `Display` writes.
+    #[test]
+    fn answered_nyma_smoke_texts_render_like_display() {
+        use edge_core::{EdgeConfig, EdgeModel, PredictOptions, PredictRequest, Predictor};
+        let dataset = edge_data::nyma(edge_data::PresetSize::Smoke, 42);
+        let (train, test) = dataset.paper_split();
+        let recognizer = edge_data::dataset_recognizer(&dataset);
+        let (model, _) = EdgeModel::train(
+            train,
+            recognizer,
+            &dataset.bbox,
+            EdgeConfig::fast(),
+            &Default::default(),
+        )
+        .expect("train");
+        let mut answered = 0;
+        for tweet in test {
+            let request = PredictRequest::text(&tweet.text);
+            if let Ok(resp) = model.locate(&request, &PredictOptions::default()) {
+                assert_renders_like_display(&resp);
+                answered += 1;
+            }
+        }
+        assert!(answered > test.len() / 2, "{answered} of {} answered", test.len());
+    }
+
+    /// Names needing every kind of escape, and floats at the extremes.
+    #[test]
+    fn escapes_and_extreme_floats_render_like_display() {
+        let mut resp = response();
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        resp.prediction.attention = vec![
+            (controls, f32::MIN_POSITIVE),
+            ("quote \" back \\ slash, café ✓".to_string(), -0.0),
+            (String::new(), f32::from_bits(1)),
+            ("nan".to_string(), f32::NAN),
+        ];
+        assert_renders_like_display(&resp);
+        let extremes = [5e-324, f64::MAX, -0.0, 1e300, f64::INFINITY, 1.0, 0.1];
+        for (i, x) in extremes.into_iter().enumerate() {
+            let mut resp = response();
+            resp.prediction.point = Point::new(x, extremes[(i + 1) % extremes.len()]);
+            assert_renders_like_display(&resp);
         }
     }
 

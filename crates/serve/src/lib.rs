@@ -80,6 +80,7 @@ pub mod cache;
 pub mod client;
 pub mod config;
 pub mod deadline;
+mod float;
 pub mod http;
 pub mod json;
 mod metrics;

@@ -34,6 +34,7 @@ use crate::brownout::{BrownoutConfig, LoadController, Mode};
 use crate::cache::ResponseCache;
 use crate::config::ServeConfig;
 use crate::deadline::Deadline;
+use crate::float::write_u64;
 use crate::http::{parse_buffered, write_response_with, ParseStatus, ReadLimits, Request};
 use crate::json::{
     parse_predict_body, render_deadline_error, render_error, render_response_degraded,
@@ -579,7 +580,7 @@ fn to_wire(reply: &Reply, header_id: &str, keep_alive: bool) -> Vec<u8> {
     for (name, value) in &reply.extra {
         headers.push((name, value));
     }
-    let mut out = Vec::with_capacity(reply.body.len() + 128);
+    let mut out = Vec::new();
     write_response_with(
         &mut out,
         reply.status,
@@ -587,8 +588,7 @@ fn to_wire(reply: &Reply, header_id: &str, keep_alive: bool) -> Vec<u8> {
         &headers,
         &reply.body,
         keep_alive,
-    )
-    .expect("writing to a Vec cannot fail");
+    );
     out
 }
 
@@ -843,7 +843,11 @@ fn dispatch_request(
     // one.
     let request_id = edge_obs::trace::next_request_id();
     let _scope = edge_obs::trace::request_scope(request_id);
-    let header_id = req.request_id.clone().unwrap_or_else(|| format!("req-{request_id}"));
+    let header_id = req.request_id.clone().unwrap_or_else(|| {
+        let mut id = b"req-".to_vec();
+        write_u64(&mut id, request_id);
+        String::from_utf8(id).expect("ASCII digits")
+    });
     let endpoint: &'static str = match req.path.as_str() {
         "/predict" => "predict",
         "/healthz" => "healthz",
@@ -1486,6 +1490,7 @@ fn conn_readable(
                 }
                 if conn.read_buf.len() > state.read_limits.max_body_bytes + HEADER_SLACK {
                     // Unbounded header/request-line growth: typed close.
+                    request_counter("other", 400).inc(1);
                     let body = simple_object(&[("error", "bad_request")]);
                     respond_and_close(conn, 400, &body);
                 } else if conn.read_closed {
@@ -1531,6 +1536,7 @@ fn conn_readable(
             ParseStatus::Bad(_) => {
                 // Torn/garbage framing still gets a typed status before
                 // the connection drops.
+                request_counter("other", 400).inc(1);
                 let body = simple_object(&[("error", "bad_request")]);
                 respond_and_close(conn, 400, &body);
                 break;
@@ -1557,8 +1563,8 @@ fn conn_readable(
 /// Queues a parse-level error response (no request was framed, so no
 /// request id is minted) and marks the connection for close.
 fn respond_and_close(conn: &mut Connection, status: u16, body: &[u8]) {
-    let mut wire = Vec::with_capacity(body.len() + 128);
-    let _ = write_response_with(&mut wire, status, "application/json", &[], body, false);
+    let mut wire = Vec::new();
+    write_response_with(&mut wire, status, "application/json", &[], body, false);
     conn.queue_reply(wire);
     conn.stop_reading = true;
     conn.close_after_flush = true;

@@ -1,7 +1,8 @@
 //! Deadline-propagation and request-bounding tests: a request's budget
 //! (the `X-Deadline-Us` header or the server default) must produce a
 //! typed 504 when exhausted, never a late answer; oversized bodies must
-//! be refused with 413 before a byte of the body is read; and the event
+//! be refused with 413 before a byte of the body is read; bad framing
+//! must be answered 400 and counted like any request; and the event
 //! loop's read budget must cut a request that trickles in too slowly
 //! while leaving idle keep-alive connections alone.
 
@@ -118,6 +119,43 @@ fn oversized_body_gets_413_and_the_server_survives() {
     let resp = client.predict(&text).unwrap();
     assert_eq!(resp.status, 200);
     assert_eq!(resp.body, util::expected_fragment(&text));
+    server.shutdown();
+}
+
+/// A connection closed for bad framing still counts as a request:
+/// `serve_http_requests_total{endpoint="other",status="400"}` moves for a
+/// malformed request line and for a request line that outgrows the read
+/// buffer bound, as it does for the framing 413.
+#[test]
+fn framing_errors_count_as_bad_requests() {
+    let server = util::start_server(ServeConfig { max_body_bytes: 64, ..ServeConfig::default() });
+    let mut client = Client::connect(server.addr()).unwrap();
+    let bad_requests = |client: &mut Client| {
+        let metrics = client.request("GET", "/metrics", b"").unwrap();
+        let scrape = edge_obs::openmetrics::parse(metrics.text()).expect("strict parse");
+        scrape
+            .value("serve_http_requests_total", &[("endpoint", "other"), ("status", "400")])
+            .unwrap_or(0.0)
+    };
+    let before = bad_requests(&mut client);
+
+    let garbage = b"\r\n\r\n".to_vec();
+    // One byte past `max_body_bytes` plus the server's 16 KiB header
+    // slack, all of it read before the server answers, so the close is
+    // not a reset that could drop the answer.
+    let endless_line = vec![b'x'; 64 + 16 * 1024 + 1];
+    for raw in [garbage, endless_line] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream.write_all(&raw).unwrap();
+        let mut reply = Vec::new();
+        let _ = stream.read_to_end(&mut reply);
+        let reply = String::from_utf8_lossy(&reply);
+        assert!(reply.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{reply}");
+    }
+
+    let after = bad_requests(&mut client);
+    assert!(after - before >= 2.0, "two framing 400s counted: {before} -> {after}");
     server.shutdown();
 }
 

@@ -14,6 +14,11 @@
 #    costs at most 2x a step over normal ones (`adam_subnormal`): the
 #    first-moment arithmetic runs through f64, and a compiler that narrowed
 #    it back to f32 would bring back the ~12x subnormal assists.
+# 4. Runs the smoke serve bench and checks that rendering a /predict answer
+#    (`render`: the Ryu-based float writer, over every answered test text)
+#    costs at most half of rendering it through `Display`, which is what
+#    the writer replaced; the bench also asserts the two agree byte for
+#    byte.
 #
 # Usage: scripts/perf_smoke.sh
 set -euo pipefail
@@ -63,4 +68,20 @@ print(f"perf smoke OK: 0 allocs/batch on arena legs "
       f"({fresh['allocs_per_batch']} fresh), "
       f"arena speedup {out['edge_speedup']['arena_speedup']:.2f}x, "
       f"subnormal Adam step {adam['ratio']:.2f}x")
+EOF
+
+echo "== response rendering =="
+cargo run --release -p edge-bench --bin bench_serve -- --size smoke
+
+python3 - <<'EOF'
+import json
+
+render = json.load(open("results/BENCH_serve.json"))["render"]
+assert render["responses"] > 0, "render leg measured nothing"
+assert render["ratio"] <= 0.5, (
+    f"render_response {render['render_ns']:.0f} ns vs Display "
+    f"{render['display_ns']:.0f} ns per response ({render['ratio']:.2f}x > 0.5x)"
+)
+print(f"render OK: {render['render_ns']:.0f} ns vs {render['display_ns']:.0f} ns "
+      f"Display per response ({render['ratio']:.2f}x)")
 EOF
