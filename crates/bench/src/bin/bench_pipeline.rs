@@ -3,7 +3,9 @@
 //! metrics-layer counters (matmul/spmm FLOPs, tape ops, NER misses) for the
 //! EDGE runs, a speedup table for EDGE training (serial vs fresh-alloc vs
 //! the persistent `edge-par` pool vs forced scalar kernels), the
-//! `simd_vs_scalar` microkernel comparison, an Adam step with and without
+//! `simd_vs_scalar` microkernel comparison, the dense matmul's GFLOP/s at
+//! every kernel level the host has on the two training shapes
+//! (`matmul_levels`), an Adam step with and without
 //! subnormal first moments (`adam_subnormal`), and a per-op self-time table
 //! (`op_profile`) from one traced EDGE training run after every timed leg.
 //!
@@ -11,12 +13,14 @@
 //!
 //! Writes `results/BENCH_pipeline.{json,txt}`. The JSON is an object:
 //! `{ "threads": N, "records": [...], "edge_speedup": {...},
-//!    "simd_vs_scalar": {...}, "adam_subnormal": {...}, "op_profile": [...] }`.
+//!    "simd_vs_scalar": {...}, "matmul_levels": {...}, "adam_subnormal": {...},
+//!    "op_profile": [...] }`.
 
 use edge_bench::{
-    render_adam_subnormal, render_op_profile, render_pipeline_table, render_simd_table,
-    render_speedup_table, run_adam_subnormal_bench, run_edge_speedup, run_op_profile,
-    run_pipeline_bench, run_simd_kernel_bench, HarnessConfig, MethodSet,
+    render_adam_subnormal, render_matmul_levels, render_op_profile, render_pipeline_table,
+    render_simd_table, render_speedup_table, run_adam_subnormal_bench, run_edge_speedup,
+    run_matmul_levels_bench, run_op_profile, run_pipeline_bench, run_simd_kernel_bench,
+    HarnessConfig, MethodSet,
 };
 use edge_data::{nyma, PresetSize};
 use serde::Serialize;
@@ -28,6 +32,8 @@ struct PipelineBenchOutput {
     records: Vec<edge_bench::PipelineBenchRecord>,
     edge_speedup: edge_bench::EdgeSpeedup,
     simd_vs_scalar: edge_bench::SimdKernelBench,
+    /// Dense matmul GFLOP/s per kernel level at the training shapes.
+    matmul_levels: edge_bench::MatmulLevels,
     adam_subnormal: edge_bench::AdamSubnormalBench,
     /// Per-span self time over one traced EDGE training, largest first.
     op_profile: Vec<edge_bench::OpProfileRow>,
@@ -67,6 +73,10 @@ fn main() {
     edge_obs::progress!("== SIMD vs scalar microkernels ==");
     let simd_vs_scalar = run_simd_kernel_bench();
 
+    edge_obs::progress!("== dense matmul by kernel level ==");
+    let matmul_levels = run_matmul_levels_bench();
+    edge_obs::progress!("{}", render_matmul_levels(&matmul_levels).trim_end());
+
     edge_obs::progress!("== Adam step with / without subnormal first moments ==");
     let adam_subnormal = run_adam_subnormal_bench();
     edge_obs::progress!("   {}", render_adam_subnormal(&adam_subnormal).trim_end());
@@ -78,11 +88,12 @@ fn main() {
 
     let text = format!(
         "Pipeline bench ({size:?} scale): wall time + peak RSS per method\n{}\n\
-         EDGE training dispatch comparison\n{}\n{}\n{}\n\
+         EDGE training dispatch comparison\n{}\n{}\n{}\n{}\n\
          Per-op self time, one traced EDGE training\n{}\n{}",
         render_pipeline_table(&records),
         render_speedup_table(&edge_speedup),
         render_simd_table(&simd_vs_scalar),
+        render_matmul_levels(&matmul_levels),
         render_adam_subnormal(&adam_subnormal),
         render_op_profile(&op_profile),
         metrics
@@ -93,6 +104,7 @@ fn main() {
         records,
         edge_speedup,
         simd_vs_scalar,
+        matmul_levels,
         adam_subnormal,
         op_profile,
     };

@@ -28,6 +28,10 @@
 //! - `multi_shard` — the warm batched leg against a two-shard routed
 //!   server, with the per-shard latency/shed decomposition from the
 //!   `serve_shard_*` metric families.
+//! - `obs_overhead` / `robustness_overhead` — the warm batched leg with
+//!   the metrics layer (or the deadline/budget/brownout layer) on vs off:
+//!   the median over 7 interleaved on/off pairs of each pair's
+//!   `1 - on/off`, with its IQR. CI gates each median at <= 2%.
 //! - `router_overhead` — interleaved best-of-5 warm batched throughput,
 //!   two-shard routed vs single-shard (the single-model path
 //!   short-circuits routing entirely; the two-shard side pays one extra
@@ -58,6 +62,9 @@ use serde::Serialize;
 
 /// How many texts each batched request carries (= leg 2's `max_batch`).
 const BATCH: usize = 32;
+
+/// Interleaved on/off pairs behind each gated overhead (obs, robustness).
+const OVERHEAD_PAIRS: usize = 7;
 
 /// Idle keep-alive connections the high-concurrency leg holds open.
 const HIGH_CONC_TARGET: usize = 10_000;
@@ -114,26 +121,48 @@ struct LoneRequest {
     queue_us: f64,
 }
 
-/// The warm batched leg rerun with the metrics layer on vs off.
+/// A layer's cost on the warm batched leg, from interleaved on/off pairs.
+/// Each pair runs both sides back to back (alternating which goes first),
+/// so machine-wide drift (thermal, neighbors) hits both; the estimate is
+/// the median of the per-pair overheads, not a ratio of each side's best,
+/// which one lucky rep on either side could swing past a 2% gate.
 #[derive(Serialize)]
-struct ObsOverhead {
+struct PairedOverhead {
+    /// On/off pairs measured.
+    pairs: usize,
+    /// Median throughput with the layer on.
     enabled_texts_per_sec: f64,
+    /// Median throughput with the layer off.
     disabled_texts_per_sec: f64,
-    /// `max(0, 1 - enabled/disabled)` — the throughput the observability
-    /// layer costs on the warm batched path. CI gates this at <= 0.02.
+    /// `max(0, median over pairs of 1 - on/off)`. CI gates this at <= 0.02.
     overhead_frac: f64,
+    /// Interquartile range of the per-pair `1 - on/off`: the spread the
+    /// median is judged against.
+    overhead_iqr: f64,
 }
 
-/// The warm batched leg rerun with the robustness layer (deadline
-/// propagation, read/write budgets, brownout controller) on vs off.
-#[derive(Serialize)]
-struct RobustnessOverhead {
-    enabled_texts_per_sec: f64,
-    disabled_texts_per_sec: f64,
-    /// `max(0, 1 - enabled/disabled)` — what deadline checks, socket
-    /// budgets, and controller ticks cost on the healthy warm batched
-    /// path. CI gates this at <= 0.02.
-    overhead_frac: f64,
+/// Runs `pairs` interleaved `rep(true)` / `rep(false)` throughput pairs.
+fn paired_overhead(pairs: usize, rep: impl Fn(bool) -> f64) -> PairedOverhead {
+    let (mut on, mut off, mut overheads) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..pairs {
+        let (a, b) = if i % 2 == 0 { (true, false) } else { (false, true) };
+        let first = rep(a);
+        let second = rep(b);
+        let (enabled, disabled) = if a { (first, second) } else { (second, first) };
+        on.push(enabled);
+        off.push(disabled);
+        overheads.push(1.0 - enabled / disabled);
+    }
+    for v in [&mut on, &mut off, &mut overheads] {
+        v.sort_by(f64::total_cmp);
+    }
+    PairedOverhead {
+        pairs,
+        enabled_texts_per_sec: percentile(&on, 50.0),
+        disabled_texts_per_sec: percentile(&off, 50.0),
+        overhead_frac: percentile(&overheads, 50.0).max(0.0),
+        overhead_iqr: percentile(&overheads, 75.0) - percentile(&overheads, 25.0),
+    }
 }
 
 /// The warm batched leg against a two-shard routed server vs the
@@ -203,8 +232,8 @@ struct ServeBenchOutput {
     speedup_batched_vs_unbatched: f64,
     /// The same ratio with the response cache disabled in both legs.
     cold_speedup_batched_vs_unbatched: f64,
-    obs_overhead: ObsOverhead,
-    robustness_overhead: RobustnessOverhead,
+    obs_overhead: PairedOverhead,
+    robustness_overhead: PairedOverhead,
     router_overhead: RouterOverhead,
     multi_shard: LegRecord,
     lone_request: LoneRequest,
@@ -719,37 +748,26 @@ fn main() {
     // Observability overhead: the warm batched leg with the metrics layer
     // on vs off. The ring and the stage cells stay on in both legs (they
     // are always-on by design); the comparison isolates the
-    // counters/histograms/labels hot path. Reps are interleaved on/off and
-    // each side takes its best, so slow machine-wide drift (thermal,
-    // neighbors) hits both sides equally instead of biasing one.
+    // counters/histograms/labels hot path.
     let obs_rep = |enable_metrics: bool| {
         let name = if enable_metrics { "obs-on" } else { "obs-off" };
         let config = ServeConfig { enable_metrics, ..warm(BATCH) };
         run_leg(name, &single(config), &pool, BATCH, 300, pool.len() / BATCH + 5).texts_per_sec
     };
-    let (mut obs_on, mut obs_off) = (0.0f64, 0.0f64);
-    for _ in 0..5 {
-        obs_on = obs_on.max(obs_rep(true));
-        obs_off = obs_off.max(obs_rep(false));
-    }
-    let obs_overhead = ObsOverhead {
-        enabled_texts_per_sec: obs_on,
-        disabled_texts_per_sec: obs_off,
-        overhead_frac: (1.0 - obs_on / obs_off).max(0.0),
-    };
+    let obs_overhead = paired_overhead(OVERHEAD_PAIRS, obs_rep);
     edge_obs::progress!(
-        "   obs overhead    {:>9.2}% (on {:.0} vs off {:.0} texts/sec)",
+        "   obs overhead    {:>9.2}% (IQR {:.2}%; on {:.0} vs off {:.0} texts/sec)",
         obs_overhead.overhead_frac * 100.0,
-        obs_on,
-        obs_off
+        obs_overhead.overhead_iqr * 100.0,
+        obs_overhead.enabled_texts_per_sec,
+        obs_overhead.disabled_texts_per_sec
     );
 
     // Robustness overhead: the warm batched leg with the robustness layer
     // on (server defaults: deadline budget armed, read/write socket
     // budgets, brownout controller ticking) vs off (all three disabled).
-    // Same interleaved best-of discipline as the obs comparison. These
-    // legs are measured but deliberately NOT appended to `legs`, whose
-    // membership CI asserts exactly.
+    // These legs are measured but deliberately NOT appended to `legs`,
+    // whose membership CI asserts exactly.
     let robust_rep = |enabled: bool| {
         let name = if enabled { "robust-on" } else { "robust-off" };
         let config = if enabled {
@@ -765,21 +783,13 @@ fn main() {
         };
         run_leg(name, &single(config), &pool, BATCH, 300, pool.len() / BATCH + 5).texts_per_sec
     };
-    let (mut robust_on, mut robust_off) = (0.0f64, 0.0f64);
-    for _ in 0..7 {
-        robust_on = robust_on.max(robust_rep(true));
-        robust_off = robust_off.max(robust_rep(false));
-    }
-    let robustness_overhead = RobustnessOverhead {
-        enabled_texts_per_sec: robust_on,
-        disabled_texts_per_sec: robust_off,
-        overhead_frac: (1.0 - robust_on / robust_off).max(0.0),
-    };
+    let robustness_overhead = paired_overhead(OVERHEAD_PAIRS, robust_rep);
     edge_obs::progress!(
-        "   robust overhead {:>9.2}% (on {:.0} vs off {:.0} texts/sec)",
+        "   robust overhead {:>9.2}% (IQR {:.2}%; on {:.0} vs off {:.0} texts/sec)",
         robustness_overhead.overhead_frac * 100.0,
-        robust_on,
-        robust_off
+        robustness_overhead.overhead_iqr * 100.0,
+        robustness_overhead.enabled_texts_per_sec,
+        robustness_overhead.disabled_texts_per_sec
     );
 
     // Router overhead: two-shard routed vs single-shard warm batched,
@@ -880,11 +890,15 @@ fn main() {
         })
         .collect();
     let text = format!(
-        "Serve bench ({size:?} scale): closed-loop POST /predict over real sockets\n{}{}\nobs overhead (warm batched, metrics on vs off): {:.2}%\nrobustness overhead (warm batched, deadlines+budgets+brownout on vs off): {:.2}%\nrouter overhead (warm batched, two-shard routed vs single-shard): {:.2}%\nmulti-shard: {:.0} texts/sec across {} shards\nlone request (1 text, cache off): p50 {:.0} us, queue {:.0} us\nhigh-concurrency: {} idle keep-alive conns held, p50 {:.0} us, p99 {:.0} us\n{}render ({} responses, {:.1} floats each): {:.0} ns vs {:.0} ns Display per response, ratio {:.2}\n",
+        "Serve bench ({size:?} scale): closed-loop POST /predict over real sockets\n{}{}\nobs overhead (warm batched, metrics on vs off, median of {} pairs): {:.2}% (IQR {:.2}%)\nrobustness overhead (warm batched, deadlines+budgets+brownout on vs off, median of {} pairs): {:.2}% (IQR {:.2}%)\nrouter overhead (warm batched, two-shard routed vs single-shard): {:.2}%\nmulti-shard: {:.0} texts/sec across {} shards\nlone request (1 text, cache off): p50 {:.0} us, queue {:.0} us\nhigh-concurrency: {} idle keep-alive conns held, p50 {:.0} us, p99 {:.0} us\n{}render ({} responses, {:.1} floats each): {:.0} ns vs {:.0} ns Display per response, ratio {:.2}\n",
         render_table(&legs, speedup),
         render_stage_table(&legs),
+        obs_overhead.pairs,
         obs_overhead.overhead_frac * 100.0,
+        obs_overhead.overhead_iqr * 100.0,
+        robustness_overhead.pairs,
         robustness_overhead.overhead_frac * 100.0,
+        robustness_overhead.overhead_iqr * 100.0,
         router_overhead.overhead_frac * 100.0,
         multi_shard.texts_per_sec,
         multi_shard.per_shard.len(),

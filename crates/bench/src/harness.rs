@@ -854,6 +854,90 @@ pub fn run_simd_kernel_bench() -> SimdKernelBench {
     })
 }
 
+/// Single-thread dense matmul throughput at one kernel level, at the two
+/// training shapes.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct LevelGflops {
+    /// `scalar`, `avx2` or `avx512`.
+    pub level: String,
+    /// GFLOP/s of `X(194×64)·W(64×64)`: a GCN layer's forward product on
+    /// NYMA-smoke's 194 entities.
+    pub forward_gflops: f64,
+    /// GFLOP/s of `Xᵀ·G` with `X` and `G` both 194×64 and `X` read in
+    /// place: that layer's weight gradient.
+    pub weight_grad_gflops: f64,
+}
+
+/// The `matmul_levels` section of `BENCH_pipeline.json`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct MatmulLevels {
+    /// The kernel level training runs at on this host.
+    pub kernel_level: String,
+    /// Every level the host has, narrowest first. `scripts/perf_smoke.sh`
+    /// gates `avx512` at ≥ 1.3× `avx2` on both shapes when both are here.
+    pub levels: Vec<LevelGflops>,
+}
+
+/// Measures the dense matmul at every kernel level the host has, single
+/// threaded, on the two training shapes of [`LevelGflops`]. Levels are
+/// timed in interleaved rounds, each keeping its best time.
+pub fn run_matmul_levels_bench() -> MatmulLevels {
+    use edge_tensor::{KernelLevel, Matrix};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    const ROUNDS: usize = 5;
+    const BUDGET: std::time::Duration = std::time::Duration::from_millis(40);
+    let mut rng = StdRng::seed_from_u64(0x6C_E7);
+    let (n, d) = (194, 64);
+    let x = Matrix::random_uniform(n, d, 1.0, &mut rng);
+    let w = Matrix::random_uniform(d, d, 1.0, &mut rng);
+    let g = Matrix::random_uniform(n, d, 1.0, &mut rng);
+    let mut out = Matrix::zeros(0, 0);
+    let flops = 2.0 * (n * d * d) as f64 / 1e9;
+    let levels: Vec<KernelLevel> =
+        KernelLevel::ALL.into_iter().filter(|&l| l <= edge_tensor::simd_level()).collect();
+    let mut best = vec![[f64::INFINITY; 2]; levels.len()];
+    edge_par::with_max_threads(1, || {
+        for _ in 0..ROUNDS {
+            for (level, best) in levels.iter().zip(&mut best) {
+                edge_tensor::with_kernel_level(*level, || {
+                    best[0] = best[0].min(best_iter_secs(BUDGET, || x.matmul_into(&w, &mut out)));
+                    best[1] =
+                        best[1].min(best_iter_secs(BUDGET, || x.matmul_tn_into(&g, &mut out)));
+                });
+            }
+        }
+    });
+    MatmulLevels {
+        kernel_level: edge_tensor::kernel_level().name().to_string(),
+        levels: levels
+            .iter()
+            .zip(&best)
+            .map(|(level, [forward, weight_grad])| LevelGflops {
+                level: level.name().to_string(),
+                forward_gflops: flops / forward,
+                weight_grad_gflops: flops / weight_grad,
+            })
+            .collect(),
+    }
+}
+
+/// Renders the per-level matmul throughput as aligned text.
+pub fn render_matmul_levels(s: &MatmulLevels) -> String {
+    let mut out = format!(
+        "Dense matmul by kernel level (single thread, GFLOP/s; training runs at {}):\n\
+         {:<8} {:>16} {:>16}\n",
+        s.kernel_level, "Level", "X·W 194x64x64", "Xᵀ·G in place"
+    );
+    for l in &s.levels {
+        out.push_str(&format!(
+            "{:<8} {:>16.2} {:>16.2}\n",
+            l.level, l.forward_gflops, l.weight_grad_gflops
+        ));
+    }
+    out
+}
+
 /// Renders the SIMD microkernel comparison as aligned text.
 pub fn render_simd_table(s: &SimdKernelBench) -> String {
     let mut out = format!(

@@ -305,7 +305,7 @@ impl MappedArtifact {
                 cols: read_u64(e, 40) as usize,
                 crc64: read_u64(e, 48),
             };
-            if sec.offset % PAGE != 0 {
+            if !sec.offset.is_multiple_of(PAGE) {
                 return Err(corrupt(format!(
                     "section {:?} offset {} is not page-aligned",
                     tag_name(&sec.tag),

@@ -119,7 +119,7 @@ impl Checkpointer {
 
     /// Whether a checkpoint is due after `finished_epoch` completed.
     pub fn due_after(&self, finished_epoch: usize) -> bool {
-        (finished_epoch + 1) % self.every == 0
+        (finished_epoch + 1).is_multiple_of(self.every)
     }
 
     fn path_for(&self, next_epoch: usize) -> PathBuf {

@@ -24,10 +24,10 @@
 //!   detected hardware parallelism; [`with_max_threads`] scopes a cap (or a
 //!   raise, for tests) to the current thread.
 //! * **Kernel selection travels with the job.** The workspace's one SIMD
-//!   probe ([`simd_available`]) and its scoped scalar override
-//!   ([`with_scalar_kernels`]) live here, and a job carries the submitter's
-//!   override to every worker that claims a chunk of it, so [`simd_active`]
-//!   answers the same on every index of a region.
+//!   probe ([`simd_level`]: scalar, AVX2 or AVX-512F) and its scoped level
+//!   cap ([`with_kernel_level`], [`with_scalar_kernels`]) live here, and a
+//!   job carries the submitter's cap to every worker that claims a chunk of
+//!   it, so [`kernel_level`] answers the same on every index of a region.
 //!
 //! Observability: `par.pool.jobs` / `par.pool.steals` counters and the
 //! `par.pool.queue_depth` / `par.pool.threads` gauges via `edge-obs`.
@@ -119,61 +119,117 @@ pub fn with_max_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 // Kernel selection
 // ---------------------------------------------------------------------------
 
-/// Whether the AVX2+FMA kernels are compiled in, supported by this CPU, and
-/// not disabled via `EDGE_NO_SIMD`. Detection runs once and is cached.
-pub fn simd_available() -> bool {
-    static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| {
-        let disabled = std::env::var_os("EDGE_NO_SIMD").is_some_and(|v| !v.is_empty() && v != "0");
-        !disabled && detect_simd()
-    })
+/// How wide the vector kernels run, narrowest first. Each level includes the
+/// ones below it, so a cap (see [`with_kernel_level`]) is a plain `min`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum KernelLevel {
+    /// The scalar reference kernels.
+    Scalar,
+    /// 8-lane ymm kernels (AVX2 + FMA present; FMA is never emitted, it is
+    /// only part of the probe the geo kernels share).
+    Avx2,
+    /// 16-lane zmm kernels (AVX-512F on top of AVX2 + FMA).
+    Avx512,
 }
 
-#[cfg(target_arch = "x86_64")]
-fn detect_simd() -> bool {
-    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-}
+impl KernelLevel {
+    /// Every level, narrowest first.
+    pub const ALL: [KernelLevel; 3] = [KernelLevel::Scalar, KernelLevel::Avx2, KernelLevel::Avx512];
 
-#[cfg(not(target_arch = "x86_64"))]
-fn detect_simd() -> bool {
-    false
-}
-
-thread_local! {
-    /// Scalar-kernel override installed by [`with_scalar_kernels`], or
-    /// carried in from the submitter of the job this thread is working.
-    static FORCE_SCALAR: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the vector kernels run on this thread right now:
-/// [`simd_available`] minus the [`with_scalar_kernels`] override.
-#[inline]
-pub fn simd_active() -> bool {
-    simd_available() && !FORCE_SCALAR.with(Cell::get)
-}
-
-/// Runs `f` with the scalar reference kernels forced, regardless of
-/// hardware — the scoped analogue of `EDGE_NO_SIMD`. Parallel regions
-/// dispatched inside `f` inherit the override on every worker. Used by the
-/// scalar-vs-SIMD parity tests and the benchmark's scalar legs.
-pub fn with_scalar_kernels<R>(f: impl FnOnce() -> R) -> R {
-    let _restore = ScalarScope::enter(true);
-    f()
-}
-
-/// Sets this thread's scalar override and restores the previous value on
-/// drop (including unwinds).
-struct ScalarScope(bool);
-
-impl ScalarScope {
-    fn enter(force_scalar: bool) -> Self {
-        Self(FORCE_SCALAR.with(|c| c.replace(force_scalar)))
+    /// The level's lower-case name, as benches and logs print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelLevel::Scalar => "scalar",
+            KernelLevel::Avx2 => "avx2",
+            KernelLevel::Avx512 => "avx512",
+        }
     }
 }
 
-impl Drop for ScalarScope {
+/// The widest kernel level this CPU supports, or [`KernelLevel::Scalar`]
+/// under `EDGE_NO_SIMD`. Detection runs once and is cached.
+pub fn simd_level() -> KernelLevel {
+    static LEVEL: OnceLock<KernelLevel> = OnceLock::new();
+    *LEVEL.get_or_init(|| {
+        let disabled = std::env::var_os("EDGE_NO_SIMD").is_some_and(|v| !v.is_empty() && v != "0");
+        if disabled {
+            KernelLevel::Scalar
+        } else {
+            detect_level()
+        }
+    })
+}
+
+/// Whether any vector kernel level is compiled in, supported by this CPU,
+/// and not disabled via `EDGE_NO_SIMD`.
+pub fn simd_available() -> bool {
+    simd_level() > KernelLevel::Scalar
+}
+
+#[cfg(target_arch = "x86_64")]
+fn detect_level() -> KernelLevel {
+    if !(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")) {
+        KernelLevel::Scalar
+    } else if is_x86_feature_detected!("avx512f") {
+        KernelLevel::Avx512
+    } else {
+        KernelLevel::Avx2
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn detect_level() -> KernelLevel {
+    KernelLevel::Scalar
+}
+
+thread_local! {
+    /// Level cap installed by [`with_kernel_level`], or carried in from the
+    /// submitter of the job this thread is working.
+    static KERNEL_CAP: Cell<KernelLevel> = const { Cell::new(KernelLevel::Avx512) };
+}
+
+/// The kernel level that runs on this thread right now: [`simd_level`]
+/// capped by the innermost [`with_kernel_level`] scope.
+#[inline]
+pub fn kernel_level() -> KernelLevel {
+    simd_level().min(KERNEL_CAP.with(Cell::get))
+}
+
+/// Whether any vector kernel runs on this thread right now.
+#[inline]
+pub fn simd_active() -> bool {
+    kernel_level() > KernelLevel::Scalar
+}
+
+/// Runs `f` with the kernels capped at `cap` (a cap above [`simd_level`]
+/// changes nothing), so a wide host can still run and test every narrower
+/// level. Parallel regions dispatched inside `f` inherit the cap on every
+/// worker.
+pub fn with_kernel_level<R>(cap: KernelLevel, f: impl FnOnce() -> R) -> R {
+    let _restore = CapScope::enter(cap);
+    f()
+}
+
+/// Runs `f` with the scalar reference kernels forced, regardless of
+/// hardware — the scoped analogue of `EDGE_NO_SIMD`. Used by the
+/// scalar-vs-SIMD parity tests and the benchmark's scalar legs.
+pub fn with_scalar_kernels<R>(f: impl FnOnce() -> R) -> R {
+    with_kernel_level(KernelLevel::Scalar, f)
+}
+
+/// Sets this thread's level cap and restores the previous one on drop
+/// (including unwinds).
+struct CapScope(KernelLevel);
+
+impl CapScope {
+    fn enter(cap: KernelLevel) -> Self {
+        Self(KERNEL_CAP.with(|c| c.replace(cap)))
+    }
+}
+
+impl Drop for CapScope {
     fn drop(&mut self) {
-        FORCE_SCALAR.with(|c| c.set(self.0));
+        KERNEL_CAP.with(|c| c.set(self.0));
     }
 }
 
@@ -202,9 +258,9 @@ struct Job {
     /// pooled tasks parent to the submitting span and keep its request id
     /// instead of dangling as per-worker roots.
     ctx: Option<edge_obs::trace::SpanContext>,
-    /// The submitter's [`with_scalar_kernels`] override at dispatch; every
-    /// thread working the job runs its chunks under it.
-    force_scalar: bool,
+    /// The submitter's [`with_kernel_level`] cap at dispatch; every thread
+    /// working the job runs its chunks under it.
+    kernel_cap: KernelLevel,
     /// Next unclaimed index.
     next: AtomicUsize,
     /// Indices accounted for (executed, or discarded after a panic).
@@ -251,7 +307,7 @@ impl Job {
                     // job queued) until every index is accounted for.
                     let task = unsafe { &*self.task };
                     let _adopt = self.ctx.map(edge_obs::trace::adopt);
-                    let _kernels = ScalarScope::enter(self.force_scalar);
+                    let _kernels = CapScope::enter(self.kernel_cap);
                     for i in lo..hi {
                         task(i);
                     }
@@ -406,7 +462,7 @@ pub fn parallel_for_grained<F: Fn(usize) + Sync>(count: usize, min_grain: usize,
     }
     edge_obs::counter!("par.pool.jobs").inc(1);
     let ctx = edge_obs::trace_enabled().then(edge_obs::trace::current_context);
-    let force_scalar = FORCE_SCALAR.with(Cell::get);
+    let kernel_cap = KERNEL_CAP.with(Cell::get);
     let pool = pool();
     pool.ensure_workers(width - 1);
     let task_ref: &(dyn Fn(usize) + Sync) = &task;
@@ -423,7 +479,7 @@ pub fn parallel_for_grained<F: Fn(usize) + Sync>(count: usize, min_grain: usize,
         slot.count = count;
         slot.grain = grain;
         slot.ctx = ctx;
-        slot.force_scalar = force_scalar;
+        slot.kernel_cap = kernel_cap;
         slot.next = AtomicUsize::new(0);
         slot.done = AtomicUsize::new(0);
         slot.panicked = AtomicBool::new(false);
@@ -442,7 +498,7 @@ pub fn parallel_for_grained<F: Fn(usize) + Sync>(count: usize, min_grain: usize,
             count,
             grain,
             ctx,
-            force_scalar,
+            kernel_cap,
             next: AtomicUsize::new(0),
             done: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),

@@ -269,7 +269,7 @@ impl ResponseCache {
             }
             let d = (e.signature ^ sig).count_ones();
             if d <= self.hamming_max
-                && best.map_or(true, |(bd, bt, _)| d < bd || (d == bd && e.tick > bt))
+                && best.is_none_or(|(bd, bt, _)| d < bd || (d == bd && e.tick > bt))
             {
                 best = Some((d, e.tick, i));
             }

@@ -142,7 +142,7 @@ fn log10_pow5(e: i32) -> u32 {
 /// Whether 5^p divides `v` (`v > 0`).
 fn multiple_of_pow5(mut v: u64, p: u32) -> bool {
     let mut count = 0;
-    while v % 5 == 0 {
+    while v.is_multiple_of(5) {
         v /= 5;
         count += 1;
     }

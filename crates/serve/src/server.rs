@@ -623,12 +623,19 @@ fn handle_healthz(state: &ServerState) -> Reply {
     Reply::json(200, body)
 }
 
+/// Held from a scrape's first gauge write through its snapshot. The gauges
+/// live in the process-wide registry, so without it a second server's
+/// scrape could overwrite them in between and this server would expose the
+/// other's SLO state.
+static SCRAPE: Mutex<()> = Mutex::new(());
+
 fn handle_metrics(state: &ServerState) -> Reply {
     // Point-in-time gauges are refreshed at scrape so the exposition is
     // self-contained. Unlabeled gauges keep their pre-router meaning as
     // whole-server rollups; the `serve_shard_*` families carry the
     // per-shard truth. Each shard is read once, so a rollup is exactly the
     // sum of its shard gauges in the same scrape.
+    let scrape = SCRAPE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let caches: Vec<(u64, u64)> = state.shards.iter().map(|s| s.cache.stats()).collect();
     let depths: Vec<usize> = state.shards.iter().map(|s| s.admission.depth()).collect();
     edge_obs::gauge!("serve.cache.stats.hits").set(caches.iter().map(|c| c.0).sum::<u64>() as f64);
@@ -654,7 +661,9 @@ fn handle_metrics(state: &ServerState) -> Reply {
         shard.cells.mode.set(shard.brownout.mode() as u8 as f64);
         shard.cells.generation.set(shard.slot.generation() as f64);
     }
-    let text = edge_obs::openmetrics::render(&edge_obs::metrics::snapshot());
+    let snapshot = edge_obs::metrics::snapshot();
+    drop(scrape);
+    let text = edge_obs::openmetrics::render(&snapshot);
     Reply {
         status: 200,
         content_type: edge_obs::openmetrics::CONTENT_TYPE,

@@ -112,6 +112,43 @@ fn healthz_degrades_when_the_slo_burns() {
 }
 
 #[test]
+fn concurrent_scrapes_of_two_servers_each_see_their_own_slo() {
+    // `/metrics` refreshes process-global gauges from its own server before
+    // snapshotting them; two servers in one process scraping at once must
+    // still each expose their own `serve_slo_degraded`.
+    let burning =
+        util::start_server(ServeConfig { slo_target_p99_us: 1, ..ServeConfig::default() });
+    let healthy = util::start_server(ServeConfig::default());
+    let text = util::covered_texts(1).remove(0);
+    let mut client = Client::connect(burning.addr()).unwrap();
+    for _ in 0..5 {
+        assert_eq!(client.predict(&text).unwrap().status, 200);
+    }
+    let health = client.request("GET", "/healthz", b"").unwrap().json();
+    assert_eq!(health.get("status").unwrap().as_str(), Some("degraded"));
+
+    const SCRAPES: usize = 200;
+    std::thread::scope(|scope| {
+        for (addr, expected) in [(burning.addr(), 1.0), (healthy.addr(), 0.0)] {
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for i in 0..SCRAPES {
+                    let metrics = client.request("GET", "/metrics", b"").unwrap();
+                    let scrape = edge_obs::openmetrics::parse(metrics.text()).unwrap();
+                    assert_eq!(
+                        scrape.value("serve_slo_degraded", &[]),
+                        Some(expected),
+                        "scrape {i} of the server expecting {expected}"
+                    );
+                }
+            });
+        }
+    });
+    burning.shutdown();
+    healthy.shutdown();
+}
+
+#[test]
 fn metrics_expose_labeled_families_with_quantiles() {
     let server = util::start_server(ServeConfig { cache_capacity: 0, ..ServeConfig::default() });
     let mut client = Client::connect(server.addr()).unwrap();

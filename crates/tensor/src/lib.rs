@@ -20,9 +20,10 @@
 //! * [`init`] — Xavier/He initialization,
 //! * [`TapeArena`] — cross-batch buffer recycling so the steady-state train
 //!   loop performs zero heap allocations per batch,
-//! * [`simd`] — runtime-detected AVX2 microkernels for matmul and spmm that
-//!   are bit-for-bit identical to the scalar reference kernels (`EDGE_NO_SIMD`
-//!   falls back to pure scalar),
+//! * [`simd`] — runtime-detected microkernels for matmul (AVX2 or AVX-512F,
+//!   one register tile at either width, transposed operands read in place)
+//!   and spmm that are bit-for-bit identical to the scalar reference kernels
+//!   (`EDGE_NO_SIMD` falls back to pure scalar),
 //! * [`quant`] — f16 and per-row-absmax int8 codecs (scalar reference plus
 //!   F16C/AVX2 dequant kernels) for compact mmap model artifacts.
 //!
@@ -44,6 +45,9 @@ pub mod tape;
 pub use arena::{ArenaStats, TapeArena};
 pub use matrix::{Matrix, PAR_THRESHOLD};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use simd::{axpy, simd_active, simd_available, with_scalar_kernels};
+pub use simd::{
+    axpy, kernel_level, simd_active, simd_available, simd_level, with_kernel_level,
+    with_scalar_kernels, KernelLevel,
+};
 pub use sparse::CsrMatrix;
 pub use tape::{NodeId, ParamId, ParamStore, Tape};

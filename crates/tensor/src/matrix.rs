@@ -17,11 +17,11 @@ pub const PAR_THRESHOLD: usize = 32 * 1024;
 
 /// Output rows per [`Matrix::matmul`] register block: each streamed row of
 /// the right-hand operand is reused this many times before eviction. Also the
-/// row height of the AVX2 register tile (`simd::TILE_ROWS`), so pool chunk
+/// row height of the vector register tile (`simd::TILE_ROWS`), so pool chunk
 /// boundaries and SIMD tile boundaries always coincide.
 pub(crate) const MATMUL_ROW_BLOCK: usize = 4;
 
-/// The dispatch threshold actually applied by [`Matrix::matmul`]: the AVX2
+/// The dispatch threshold actually applied by [`Matrix::matmul`]: the vector
 /// kernels clear a given product ~4x faster than scalar, so the work size at
 /// which pool dispatch pays for itself rises by the same factor. Under
 /// `EDGE_NO_SIMD` this is exactly [`PAR_THRESHOLD`], keeping the scalar
@@ -204,56 +204,56 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        let (n, k, m) = (self.rows, self.cols, other.cols);
-        edge_obs::counter!("tensor.matmul.calls").inc(1);
-        edge_obs::counter!("tensor.matmul.flops").inc(2 * (n * k * m) as u64);
-        // Only span products big enough to matter; sub-threshold products
-        // would flood the trace and their time shows up in the caller's
-        // self time anyway.
-        let _span = (n * k * m >= PAR_THRESHOLD).then(|| edge_obs::span("matmul"));
-        out.reset_zeroed(n, m);
-        if out.data.is_empty() || k == 0 {
-            return;
-        }
-        let parallel = n * k * m >= par_threshold();
-        if crate::simd::matmul_into_simd(&self.data, &other.data, &mut out.data, n, k, m, parallel)
-        {
-            return;
-        }
-        // Scalar reference kernel (also the `EDGE_NO_SIMD` / narrow-output
-        // path — the SIMD kernel above is bit-for-bit identical to it).
-        //
-        // Register-blocked ikj kernel: MATMUL_ROW_BLOCK rows of `out`
-        // accumulate together, so each row of `other` streamed through the
-        // vectorized inner j-loop is reused once per block row while hot in
-        // cache. Every output row still accumulates in ascending-k order, so
-        // results are bit-for-bit identical across block boundaries and
-        // thread counts.
-        let work = |block_idx: usize, out_block: &mut [f32]| {
-            let row0 = block_idx * MATMUL_ROW_BLOCK;
-            let rows_here = out_block.len() / m;
-            for kk in 0..k {
-                let b_row = &other.data[kk * m..(kk + 1) * m];
-                for r in 0..rows_here {
-                    let a = self.data[(row0 + r) * k + kk];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let out_row = &mut out_block[r * m..(r + 1) * m];
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
-                }
-            }
-        };
-        if parallel {
-            // Chunk layout matches the serial path exactly, so partitioning
-            // cannot change results; `edge_par` allocates nothing on the
-            // serial path, which keeps the train loop allocation-free.
-            edge_par::parallel_for_chunks_mut(&mut out.data, MATMUL_ROW_BLOCK * m, work);
-        } else {
-            out.data.chunks_mut(MATMUL_ROW_BLOCK * m).enumerate().for_each(|(i, b)| work(i, b));
-        }
+        gemm_into(
+            Operand::plain(self),
+            Operand::plain(other),
+            out,
+            self.rows,
+            self.cols,
+            other.cols,
+        );
+    }
+
+    /// `selfᵀ × other` into `out`, reading `self` in place: bit-for-bit
+    /// identical to `self.transpose().matmul(other)` without materializing
+    /// the transpose (the weight gradient `Aᵀ·G` of a matmul's backward).
+    pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(
+            self.rows,
+            other.rows,
+            "matmul_tn shape mismatch: {:?}ᵀ x {:?}",
+            self.shape(),
+            other.shape()
+        );
+        gemm_into(
+            Operand::transposed(self),
+            Operand::plain(other),
+            out,
+            self.cols,
+            self.rows,
+            other.cols,
+        );
+    }
+
+    /// `self × otherᵀ` into `out`, reading `other` in place: bit-for-bit
+    /// identical to `self.matmul(&other.transpose())` without materializing
+    /// the transpose (the input gradient `G·Bᵀ` of a matmul's backward).
+    pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(
+            self.cols,
+            other.cols,
+            "matmul_nt shape mismatch: {:?} x {:?}ᵀ",
+            self.shape(),
+            other.shape()
+        );
+        gemm_into(
+            Operand::plain(self),
+            Operand::transposed(other),
+            out,
+            self.rows,
+            self.cols,
+            other.rows,
+        );
     }
 
     /// Transpose (cache-blocked: source and destination are walked in
@@ -425,6 +425,99 @@ impl Matrix {
     /// True when every entry is finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
+    }
+}
+
+/// A matmul operand as the kernels read it: a row-major matrix used as
+/// stored or transposed, never copied.
+#[derive(Clone, Copy)]
+pub(crate) struct Operand<'a> {
+    /// The stored matrix's entries, row-major.
+    pub(crate) data: &'a [f32],
+    /// Columns of the stored matrix.
+    pub(crate) stride: usize,
+    /// Whether the product reads the stored matrix transposed.
+    pub(crate) transposed: bool,
+}
+
+impl<'a> Operand<'a> {
+    fn plain(m: &'a Matrix) -> Self {
+        Self { data: &m.data, stride: m.cols, transposed: false }
+    }
+
+    fn transposed(m: &'a Matrix) -> Self {
+        Self { data: &m.data, stride: m.cols, transposed: true }
+    }
+
+    /// `(row step, column step)`: element `(i, j)` of the operand as read
+    /// is `data[i·row + j·col]`.
+    pub(crate) fn steps(self) -> (usize, usize) {
+        if self.transposed {
+            (1, self.stride)
+        } else {
+            (self.stride, 1)
+        }
+    }
+}
+
+/// `out = a × b` for operands read as `n × k` and `k × m`: the one dense
+/// product behind [`Matrix::matmul_into`], [`Matrix::matmul_tn_into`] and
+/// [`Matrix::matmul_nt_into`].
+fn gemm_into(a: Operand<'_>, b: Operand<'_>, out: &mut Matrix, n: usize, k: usize, m: usize) {
+    edge_obs::counter!("tensor.matmul.calls").inc(1);
+    edge_obs::counter!("tensor.matmul.flops").inc(2 * (n * k * m) as u64);
+    // Only span products big enough to matter; sub-threshold products
+    // would flood the trace and their time shows up in the caller's
+    // self time anyway.
+    let _span = (n * k * m >= PAR_THRESHOLD).then(|| edge_obs::span("matmul"));
+    out.reset_zeroed(n, m);
+    if out.data.is_empty() || k == 0 {
+        return;
+    }
+    let parallel = n * k * m >= par_threshold();
+    if crate::simd::matmul_into_simd(a, b, &mut out.data, n, k, m, parallel) {
+        return;
+    }
+    // Scalar reference kernel (also the `EDGE_NO_SIMD` / narrow-output
+    // path — the SIMD kernels are bit-for-bit identical to it).
+    //
+    // Register-blocked ikj kernel: MATMUL_ROW_BLOCK rows of `out`
+    // accumulate together, so each row of `b` streamed through the inner
+    // j-loop is reused once per block row while hot in cache. Every output
+    // row still accumulates in ascending-k order, so results are
+    // bit-for-bit identical across block boundaries, thread counts and
+    // operand layouts.
+    let (a_rs, a_ks) = a.steps();
+    let work = |block_idx: usize, out_block: &mut [f32]| {
+        let row0 = block_idx * MATMUL_ROW_BLOCK;
+        let rows_here = out_block.len() / m;
+        for kk in 0..k {
+            for r in 0..rows_here {
+                let av = a.data[(row0 + r) * a_rs + kk * a_ks];
+                if av == 0.0 {
+                    continue;
+                }
+                let out_row = &mut out_block[r * m..(r + 1) * m];
+                if b.transposed {
+                    // Row `kk` of `bᵀ` is column `kk` of the stored `m × k`.
+                    for (o, &bv) in out_row.iter_mut().zip(b.data[kk..].iter().step_by(k)) {
+                        *o += av * bv;
+                    }
+                } else {
+                    for (o, &bv) in out_row.iter_mut().zip(&b.data[kk * m..(kk + 1) * m]) {
+                        *o += av * bv;
+                    }
+                }
+            }
+        }
+    };
+    if parallel {
+        // Chunk layout matches the serial path exactly, so partitioning
+        // cannot change results; `edge_par` allocates nothing on the
+        // serial path, which keeps the train loop allocation-free.
+        edge_par::parallel_for_chunks_mut(&mut out.data, MATMUL_ROW_BLOCK * m, work);
+    } else {
+        out.data.chunks_mut(MATMUL_ROW_BLOCK * m).enumerate().for_each(|(i, b)| work(i, b));
     }
 }
 

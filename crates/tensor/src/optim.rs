@@ -8,6 +8,8 @@ use std::hint::black_box;
 
 use serde::{Deserialize, Serialize};
 
+use edge_par::KernelLevel;
+
 use crate::matrix::Matrix;
 use crate::tape::{ParamId, ParamStore};
 
@@ -169,6 +171,7 @@ impl Optimizer for Adam {
             bc2,
             eps: self.eps,
             lr: self.lr,
+            level: edge_par::kernel_level(),
         };
         for (id, g) in grads {
             let shape = g.shape();
@@ -185,9 +188,9 @@ impl Optimizer for Adam {
             // shared loop LLVM computes both arms and selects, so the
             // division would run anyway.
             if bc1 == 1.0 {
-                lanes.update(p, m, v, g, decay, |m| m);
+                lanes.update_at(p, m, v, g, decay, |m| m);
             } else {
-                lanes.update(p, m, v, g, decay, |m| lanes.first.quotient(m, bc1));
+                lanes.update_at(p, m, v, g, decay, |m| lanes.first.quotient(m, bc1));
             }
         }
     }
@@ -201,9 +204,63 @@ struct Lanes {
     bc2: f32,
     eps: f32,
     lr: f32,
+    /// The kernel level the lane loop is compiled for.
+    level: KernelLevel,
 }
 
 impl Lanes {
+    /// [`Lanes::update`] compiled for the step's kernel level: the same
+    /// loop with the same operations and roundings per lane (Rust never
+    /// fuses a multiply and an add), only with wider f64 lanes than the
+    /// baseline build's SSE2 pairs.
+    #[inline(always)]
+    fn update_at(
+        &self,
+        p: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        g: &[f32],
+        decay: f32,
+        debias: impl Fn(f32) -> f32,
+    ) {
+        // SAFETY: `kernel_level` never names a level the CPU lacks.
+        #[cfg(target_arch = "x86_64")]
+        match self.level {
+            KernelLevel::Avx512 => return unsafe { self.update_avx512(p, m, v, g, decay, debias) },
+            KernelLevel::Avx2 => return unsafe { self.update_avx2(p, m, v, g, decay, debias) },
+            KernelLevel::Scalar => {}
+        }
+        self.update(p, m, v, g, decay, debias)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn update_avx2(
+        &self,
+        p: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        g: &[f32],
+        decay: f32,
+        debias: impl Fn(f32) -> f32,
+    ) {
+        self.update(p, m, v, g, decay, debias)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn update_avx512(
+        &self,
+        p: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        g: &[f32],
+        decay: f32,
+        debias: impl Fn(f32) -> f32,
+    ) {
+        self.update(p, m, v, g, decay, debias)
+    }
+
     /// Updates one parameter's lanes: first moment, second moment, then the
     /// parameter, each lane with the f32 step's operations and roundings.
     /// `debias` is the division of the first moment by `1 − β₁ᵗ`.
@@ -406,6 +463,14 @@ mod tests {
 
     #[test]
     fn step_matches_three_pass_f32_step_through_subnormal_moments() {
+        // Every kernel level the host has runs its own instance of the lane
+        // loop; each must keep the f32 step's bits.
+        for level in KernelLevel::ALL {
+            edge_par::with_kernel_level(level, || matches_three_pass_f32_step(level));
+        }
+    }
+
+    fn matches_three_pass_f32_step(level: KernelLevel) {
         let mut rng = StdRng::seed_from_u64(7);
         let mut params = ParamStore::new();
         let ids = [
@@ -426,10 +491,10 @@ mod tests {
                 assert_eq!(
                     bits(params.get(id).data()),
                     bits(reference_params.get(id).data()),
-                    "step {step}"
+                    "step {step} at {level:?}"
                 );
             }
-            assert_eq!(moment_bits(&opt), moment_bits(&reference), "step {step}");
+            assert_eq!(moment_bits(&opt), moment_bits(&reference), "step {step} at {level:?}");
             saw_subnormal |=
                 opt.m.iter().flatten().flat_map(|m| m.data()).any(|x| x.is_subnormal());
         }

@@ -1,23 +1,33 @@
-//! Runtime-detected AVX2 microkernels for the dense and sparse hot paths.
+//! Runtime-detected vector microkernels for the dense and sparse hot paths.
 //!
 //! The scalar kernels in [`crate::matrix`] and [`crate::sparse`] stay as the
-//! reference implementation; this module adds `std::arch` AVX2 equivalents
+//! reference implementation; this module adds `std::arch` equivalents
 //! behind one-time feature detection:
 //!
-//! * **Detection, cached.** [`simd_available`] reads `EDGE_NO_SIMD` and
-//!   `is_x86_feature_detected!` exactly once per process. [`simd_active`]
-//!   additionally honors the scoped [`with_scalar_kernels`] override the
-//!   parity tests sweep (mirroring `edge_par::with_max_threads`). All three
-//!   live in `edge-par`, which carries the override to every pool worker of
-//!   a region; they are re-exported here under their historical paths.
+//! * **Detection, cached.** [`simd_level`] reads `EDGE_NO_SIMD` and
+//!   `is_x86_feature_detected!` exactly once per process and names the
+//!   widest level the CPU has: scalar, AVX2 or AVX-512F. [`kernel_level`]
+//!   additionally honors the scoped [`with_kernel_level`] cap the parity
+//!   tests sweep (mirroring `edge_par::with_max_threads`);
+//!   [`with_scalar_kernels`] is the cap at scalar. All of them live in
+//!   `edge-par`, which carries the cap to every pool worker of a region;
+//!   they are re-exported here under their historical paths.
+//! * **One register tile, two widths.** The dense matmul runs a 4-row tile
+//!   of two vector registers per row: 16 columns in ymm registers at the
+//!   AVX2 level, 32 in zmm registers at the AVX-512F level. The tile body is
+//!   written once, generic over a private `Lanes` trait, and compiled once per
+//!   width. The spmm gather and the axpy stay at AVX2 width on both levels.
+//! * **Transposed operands in place.** The kernel reads `A` through
+//!   `(row, k)` strides and the pack reads `B` either as stored or
+//!   transposed, so `Aᵀ·B` and `A·Bᵀ` run without materializing a transpose.
 //! * **Determinism contract.** On the deterministic paths (dense matmul,
 //!   spmm) every output element accumulates in ascending-`k` / ascending-
 //!   entry order with *separate* mul and add — FMA would fuse the rounding
 //!   step and diverge from the scalar reference — and a zero `A` entry skips
 //!   the update exactly like the scalar kernel's `a == 0.0` branch (the
 //!   `-0.0 + 0.0` edge case makes skip-vs-no-skip observable bitwise). The
-//!   SIMD kernels are therefore bit-for-bit identical to scalar, which the
-//!   property tests in `tests/parallel.rs` assert.
+//!   SIMD kernels are therefore bit-for-bit identical to scalar at every
+//!   level, which the property tests in `tests/parallel.rs` assert.
 //! * **Zero-allocation packing.** The matmul packs `B` into panel-major
 //!   strips through a thread-local scratch buffer that is taken and returned
 //!   around each product (`Cell<Option<Vec<f32>>>`), so the steady-state
@@ -26,8 +36,7 @@
 
 use std::cell::Cell;
 
-/// Column width of one packed panel / register tile: two 8-lane AVX vectors.
-pub(crate) const TILE_COLS: usize = 16;
+use crate::matrix::Operand;
 
 /// Output rows per register tile. Must equal `matrix::MATMUL_ROW_BLOCK` so a
 /// pool chunk (one row block) is exactly one tile row-group and partitioning
@@ -41,10 +50,14 @@ const MIN_SIMD_COLS: usize = 8;
 
 /// `A` row count above which packing `B` amortizes: below it the product is
 /// too short to repay the `O(k·m)` pack pass and the kernel streams `B`
-/// directly with strided (masked at the tail) loads.
+/// directly with strided (masked at the tail) loads. A transposed `B` is
+/// always packed: its columns are not contiguous.
 const PACK_MIN_ROWS: usize = 8;
 
-pub use edge_par::{simd_active, simd_available, with_scalar_kernels};
+pub use edge_par::{
+    kernel_level, simd_active, simd_available, simd_level, with_kernel_level, with_scalar_kernels,
+    KernelLevel,
+};
 
 thread_local! {
     /// Reusable `B`-packing buffer. `Cell` take/put rather than `RefCell`: if
@@ -58,9 +71,9 @@ thread_local! {
 /// How the matmul kernel reads `B`.
 #[derive(Clone, Copy)]
 enum BPanels<'a> {
-    /// Panel-major packed copy (`⌈m/16⌉ × k × TILE_COLS`, tail panel
-    /// zero-padded): every kernel load is a contiguous unmasked 16-float
-    /// strip regardless of `m`.
+    /// Panel-major packed copy (`⌈m/cols⌉ × k × cols` for the tile width
+    /// `cols`, tail panel zero-padded): every kernel load is a contiguous
+    /// unmasked strip regardless of `m`.
     Packed(&'a [f32]),
     /// The original row-major `B` (`k × m`), streamed with stride-`m` loads
     /// (masked at the column tail). Used when `A` has too few rows to
@@ -75,19 +88,30 @@ struct PackGuard {
 }
 
 impl PackGuard {
-    /// Packs `b` (`k × m` row-major) into zero-padded panel-major panels.
-    fn pack(b: &[f32], k: usize, m: usize) -> Self {
+    /// Packs `b` (`k × m` as read) into zero-padded panel-major panels of
+    /// `cols` columns.
+    fn pack(b: Operand<'_>, k: usize, m: usize, cols: usize) -> Self {
         let mut buf = PACK_SCRATCH.with(Cell::take).unwrap_or_default();
-        let panels = m.div_ceil(TILE_COLS);
+        let panels = m.div_ceil(cols);
         buf.clear();
-        buf.resize(panels * k * TILE_COLS, 0.0);
+        buf.resize(panels * k * cols, 0.0);
         for p in 0..panels {
-            let j0 = p * TILE_COLS;
-            let w = TILE_COLS.min(m - j0);
-            let dst = &mut buf[p * k * TILE_COLS..(p + 1) * k * TILE_COLS];
-            for kk in 0..k {
-                dst[kk * TILE_COLS..kk * TILE_COLS + w]
-                    .copy_from_slice(&b[kk * m + j0..kk * m + j0 + w]);
+            let j0 = p * cols;
+            let w = cols.min(m - j0);
+            let dst = &mut buf[p * k * cols..(p + 1) * k * cols];
+            if b.transposed {
+                // Column `j` of the operand is row `j` of the stored `m × k`.
+                for jj in 0..w {
+                    let src = &b.data[(j0 + jj) * k..(j0 + jj + 1) * k];
+                    for (d, &v) in dst[jj..].iter_mut().step_by(cols).zip(src) {
+                        *d = v;
+                    }
+                }
+            } else {
+                for kk in 0..k {
+                    dst[kk * cols..kk * cols + w]
+                        .copy_from_slice(&b.data[kk * m + j0..kk * m + j0 + w]);
+                }
             }
         }
         PackGuard { buf }
@@ -100,43 +124,50 @@ impl Drop for PackGuard {
     }
 }
 
-/// Runs `out = a × b` (`out` pre-zeroed, `n×k` times `k×m`) with the AVX2
-/// microkernels, parallelized over the same `TILE_ROWS`-row chunks as the
-/// scalar path. Returns `false` — leaving `out` untouched — when SIMD is
-/// inactive or the shape is too narrow to benefit, in which case the caller
-/// falls back to the scalar reference kernel.
+/// Runs `out = a × b` (`out` pre-zeroed, `n×k` times `k×m` as read) with the
+/// widest vector kernel [`kernel_level`] allows, parallelized over the same
+/// `TILE_ROWS`-row chunks as the scalar path. Returns `false` — leaving
+/// `out` untouched — when SIMD is inactive or the shape is too narrow to
+/// benefit, in which case the caller falls back to the scalar reference
+/// kernel.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn matmul_into_simd(
-    a: &[f32],
-    b: &[f32],
+    a: Operand<'_>,
+    b: Operand<'_>,
     out: &mut [f32],
     n: usize,
     k: usize,
     m: usize,
     parallel: bool,
 ) -> bool {
-    if !simd_active() || m < MIN_SIMD_COLS {
+    // Captured on the submitting thread: the pool carries its cap to the
+    // workers, and every chunk runs the tile of this one level.
+    let level = kernel_level();
+    if level == KernelLevel::Scalar || m < MIN_SIMD_COLS {
         return false;
     }
     edge_obs::counter!("tensor.matmul.simd").inc(1);
+    let cols = x86::tile_cols(level);
     let guard;
-    let panels = if n >= PACK_MIN_ROWS {
-        guard = PackGuard::pack(b, k, m);
+    let panels = if n >= PACK_MIN_ROWS || b.transposed {
+        guard = PackGuard::pack(b, k, m, cols);
         BPanels::Packed(&guard.buf)
     } else {
-        BPanels::Direct(b)
+        BPanels::Direct(b.data)
     };
+    let (a_rs, a_ks) = a.steps();
+    let shape = x86::Shape { a_rs, a_ks, k, m };
     let work = |block_idx: usize, out_block: &mut [f32]| {
-        let row0 = block_idx * TILE_ROWS;
-        let rows_here = out_block.len() / m;
-        // SAFETY: `simd_active()` verified AVX2+FMA support above, on the
-        // submitting thread, before any dispatch.
-        unsafe { avx2::matmul_block(&a[row0 * k..], rows_here, k, panels, out_block, m) };
+        let a_block = &a.data[block_idx * TILE_ROWS * a_rs..];
+        let rows = out_block.len() / m;
+        // SAFETY: `kernel_level()` verified the level's features above, on
+        // the submitting thread, before any dispatch.
+        unsafe { x86::matmul_block(level, a_block, shape, rows, panels, out_block) };
     };
     if parallel {
-        // Each claim covers at least two row blocks: the AVX2 kernel clears
-        // a block ~4x faster than scalar, so per-claim cursor traffic would
-        // otherwise double its relative cost.
+        // Each claim covers at least two row blocks: the vector kernel
+        // clears a block ~4x faster than scalar, so per-claim cursor traffic
+        // would otherwise double its relative cost.
         edge_par::parallel_for_chunks_mut_grained(out, TILE_ROWS * m, 2, work);
     } else {
         out.chunks_mut(TILE_ROWS * m).enumerate().for_each(|(i, block)| work(i, block));
@@ -146,8 +177,8 @@ pub(crate) fn matmul_into_simd(
 
 #[cfg(not(target_arch = "x86_64"))]
 pub(crate) fn matmul_into_simd(
-    _a: &[f32],
-    _b: &[f32],
+    _a: Operand<'_>,
+    _b: Operand<'_>,
     _out: &mut [f32],
     _n: usize,
     _k: usize,
@@ -178,7 +209,7 @@ pub(crate) unsafe fn spmm_row_simd(
     m: usize,
     out_row: &mut [f32],
 ) {
-    avx2::spmm_row(cols, vals, dense.as_ptr(), m, out_row);
+    x86::spmm_row(cols, vals, dense.as_ptr(), m, out_row);
 }
 
 /// # Safety
@@ -205,7 +236,7 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if simd_active() && x.len() >= 8 {
         // SAFETY: `simd_active()` verified AVX2 support on this thread.
-        unsafe { avx2::axpy(alpha, x, y) };
+        unsafe { x86::axpy(alpha, x, y) };
         return;
     }
     for (yv, &xv) in y.iter_mut().zip(x) {
@@ -214,10 +245,37 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
+mod x86 {
     use std::arch::x86_64::*;
 
-    use super::{BPanels, TILE_COLS};
+    use super::{BPanels, KernelLevel};
+
+    /// One vector register of f32 lanes: the operations the register tile
+    /// needs, so [`tile`] is written once for both widths. Every method is
+    /// a single intrinsic; they are only sound inside a function compiled
+    /// with the width's target feature (the `block_avx2` / `block_avx512` entry points).
+    trait Lanes {
+        const LANES: usize;
+        type V: Copy;
+        type Mask: Copy;
+        /// A mask enabling the first `lanes` lanes.
+        unsafe fn mask(lanes: usize) -> Self::Mask;
+        unsafe fn zero() -> Self::V;
+        /// `*p` in every lane, or `None` when it is `±0.0`: the scalar
+        /// kernel's `a == 0.0` skip.
+        unsafe fn splat_nonzero(p: *const f32) -> Option<Self::V>;
+        unsafe fn load(p: *const f32) -> Self::V;
+        /// Masked-off lanes read as zero and are never accessed.
+        unsafe fn load_masked(p: *const f32, mask: Self::Mask) -> Self::V;
+        unsafe fn store(p: *mut f32, v: Self::V);
+        /// Masked-off lanes are never accessed.
+        unsafe fn store_masked(p: *mut f32, mask: Self::Mask, v: Self::V);
+        unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
+    }
+
+    /// 8 lanes in a ymm register (AVX2).
+    struct Ymm;
 
     /// Lane-enable masks for `_mm256_maskload_ps` / `_mm256_maskstore_ps`:
     /// `MASKS[l]` enables the first `l` of 8 lanes.
@@ -235,45 +293,196 @@ mod avx2 {
         masks
     };
 
-    #[inline]
-    unsafe fn mask(lanes: usize) -> __m256i {
-        _mm256_loadu_si256(MASKS[lanes].as_ptr() as *const __m256i)
+    impl Lanes for Ymm {
+        const LANES: usize = 8;
+        type V = __m256;
+        type Mask = __m256i;
+        #[inline(always)]
+        unsafe fn mask(lanes: usize) -> __m256i {
+            _mm256_loadu_si256(MASKS[lanes].as_ptr() as *const __m256i)
+        }
+        #[inline(always)]
+        unsafe fn zero() -> __m256 {
+            _mm256_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat_nonzero(p: *const f32) -> Option<__m256> {
+            let x = *p;
+            (x != 0.0).then(|| _mm256_set1_ps(x))
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> __m256 {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn load_masked(p: *const f32, mask: __m256i) -> __m256 {
+            _mm256_maskload_ps(p, mask)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: __m256) {
+            _mm256_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn store_masked(p: *mut f32, mask: __m256i, v: __m256) {
+            _mm256_maskstore_ps(p, mask, v)
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m256, b: __m256) -> __m256 {
+            _mm256_add_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(a: __m256, b: __m256) -> __m256 {
+            _mm256_mul_ps(a, b)
+        }
     }
 
-    /// One output row-block (`rows ≤ TILE_ROWS` rows of `out`): walks the
-    /// 16-column panels, running the register-tile kernel on each.
+    /// 16 lanes in a zmm register (AVX-512F), tails under a k-mask.
+    struct Zmm;
+
+    impl Lanes for Zmm {
+        const LANES: usize = 16;
+        type V = __m512;
+        type Mask = __mmask16;
+        #[inline(always)]
+        unsafe fn mask(lanes: usize) -> __mmask16 {
+            ((1u32 << lanes) - 1) as __mmask16
+        }
+        #[inline(always)]
+        unsafe fn zero() -> __m512 {
+            _mm512_setzero_ps()
+        }
+        /// Tests the bits in a general register (no bits below the sign
+        /// means `±0.0`; NaN is not zero, as in `!= 0.0`) and broadcasts
+        /// from there: `vpbroadcastd zmm, r32` is one uop, where a float
+        /// compare plus a register broadcast puts two on the ports the
+        /// tile's multiplies and adds need. The ymm form has no such
+        /// broadcast and keeps the float compare.
+        #[inline(always)]
+        unsafe fn splat_nonzero(p: *const f32) -> Option<__m512> {
+            let bits = *(p as *const u32);
+            (bits << 1 != 0).then(|| _mm512_set1_ps(f32::from_bits(bits)))
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> __m512 {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn load_masked(p: *const f32, mask: __mmask16) -> __m512 {
+            _mm512_maskz_loadu_ps(mask, p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: __m512) {
+            _mm512_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn store_masked(p: *mut f32, mask: __mmask16, v: __m512) {
+            _mm512_mask_storeu_ps(p, mask, v)
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m512, b: __m512) -> __m512 {
+            _mm512_add_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(a: __m512, b: __m512) -> __m512 {
+            _mm512_mul_ps(a, b)
+        }
+    }
+
+    /// Columns of one packed panel / register tile at `level`: two vector
+    /// registers.
+    pub(super) fn tile_cols(level: KernelLevel) -> usize {
+        match level {
+            KernelLevel::Avx512 => 2 * Zmm::LANES,
+            _ => 2 * Ymm::LANES,
+        }
+    }
+
+    /// The strides and extents every tile of one product shares: element
+    /// `(r, kk)` of `A` is at `r·a_rs + kk·a_ks`, the product is `· × k`
+    /// times `k × m`.
+    #[derive(Clone, Copy)]
+    pub(super) struct Shape {
+        pub(super) a_rs: usize,
+        pub(super) a_ks: usize,
+        pub(super) k: usize,
+        pub(super) m: usize,
+    }
+
+    /// One output row-block (`rows ≤ TILE_ROWS` rows of `out`) at `level`.
     ///
     /// # Safety
-    /// Requires AVX2. `a` holds `rows` rows of stride `k`; `out` holds `rows`
-    /// rows of stride `m`; packed panels cover all `⌈m/16⌉` panels of `B`.
-    #[target_feature(enable = "avx2")]
+    /// The CPU must support `level` (not `Scalar`). `a` holds the block's
+    /// `rows × k` elements at `shape`'s strides; `out` holds `rows` rows of
+    /// stride `m`; packed panels cover all `⌈m/tile_cols(level)⌉` panels of
+    /// `B`.
     pub(super) unsafe fn matmul_block(
+        level: KernelLevel,
         a: &[f32],
+        shape: Shape,
         rows: usize,
-        k: usize,
         b: BPanels<'_>,
         out: &mut [f32],
-        m: usize,
     ) {
+        match level {
+            KernelLevel::Avx512 => block_avx512(a.as_ptr(), shape, rows, b, out),
+            KernelLevel::Avx2 => block_avx2(a.as_ptr(), shape, rows, b, out),
+            KernelLevel::Scalar => unreachable!("the scalar level has no vector tile"),
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn block_avx2(
+        a: *const f32,
+        shape: Shape,
+        rows: usize,
+        b: BPanels<'_>,
+        out: &mut [f32],
+    ) {
+        block::<Ymm>(a, shape, rows, b, out)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn block_avx512(
+        a: *const f32,
+        shape: Shape,
+        rows: usize,
+        b: BPanels<'_>,
+        out: &mut [f32],
+    ) {
+        block::<Zmm>(a, shape, rows, b, out)
+    }
+
+    /// Walks the `2·L::LANES`-column panels of one row block, running the
+    /// register tile on each. Inlined into the `block_*` entry points, which
+    /// compile it with their width's target feature.
+    #[inline(always)]
+    unsafe fn block<L: Lanes>(
+        a: *const f32,
+        shape: Shape,
+        rows: usize,
+        b: BPanels<'_>,
+        out: &mut [f32],
+    ) {
+        let cols = 2 * L::LANES;
+        let Shape { k, m, .. } = shape;
         let mut j0 = 0;
         let mut panel = 0;
         while j0 < m {
-            let w = TILE_COLS.min(m - j0);
+            let w = cols.min(m - j0);
             let (bp, bstride, masked) = match b {
-                BPanels::Packed(p) => (p.as_ptr().add(panel * k * TILE_COLS), TILE_COLS, false),
-                BPanels::Direct(d) => (d.as_ptr().add(j0), m, w < TILE_COLS),
+                BPanels::Packed(p) => (p.as_ptr().add(panel * k * cols), cols, false),
+                BPanels::Direct(d) => (d.as_ptr().add(j0), m, w < cols),
             };
             let op = out.as_mut_ptr().add(j0);
-            let ap = a.as_ptr();
             match (rows, masked) {
-                (1, false) => tile::<1, false>(ap, k, bp, bstride, op, m, w),
-                (2, false) => tile::<2, false>(ap, k, bp, bstride, op, m, w),
-                (3, false) => tile::<3, false>(ap, k, bp, bstride, op, m, w),
-                (4, false) => tile::<4, false>(ap, k, bp, bstride, op, m, w),
-                (1, true) => tile::<1, true>(ap, k, bp, bstride, op, m, w),
-                (2, true) => tile::<2, true>(ap, k, bp, bstride, op, m, w),
-                (3, true) => tile::<3, true>(ap, k, bp, bstride, op, m, w),
-                (4, true) => tile::<4, true>(ap, k, bp, bstride, op, m, w),
+                (1, false) => tile::<L, 1, false>(a, shape, bp, bstride, op, w),
+                (2, false) => tile::<L, 2, false>(a, shape, bp, bstride, op, w),
+                (3, false) => tile::<L, 3, false>(a, shape, bp, bstride, op, w),
+                (4, false) => tile::<L, 4, false>(a, shape, bp, bstride, op, w),
+                (1, true) => tile::<L, 1, true>(a, shape, bp, bstride, op, w),
+                (2, true) => tile::<L, 2, true>(a, shape, bp, bstride, op, w),
+                (3, true) => tile::<L, 3, true>(a, shape, bp, bstride, op, w),
+                (4, true) => tile::<L, 4, true>(a, shape, bp, bstride, op, w),
                 _ => unreachable!("row block larger than TILE_ROWS"),
             }
             j0 += w;
@@ -281,55 +490,58 @@ mod avx2 {
         }
     }
 
-    /// The `ROWS`×16 register tile: `ROWS` output rows × 16 columns live in
-    /// ymm accumulators across the full `k` loop (one store per tile instead
-    /// of one read-modify-write per `(row, k)` step).
+    /// The `ROWS` × `2·L::LANES` register tile: `ROWS` output rows of two
+    /// vector registers each live in accumulators across the full `k` loop
+    /// (one store per tile instead of one read-modify-write per `(row, k)`
+    /// step). `w` is the tile's live width; `B` row `kk` starts at
+    /// `b + kk·bstride`.
     ///
     /// Determinism: ascending-`k` accumulation, separate `mul` + `add` (no
     /// FMA — fused rounding would diverge from the scalar reference), and
     /// the scalar kernel's `a == 0.0` skip replicated per `(row, k)`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn tile<const ROWS: usize, const MASKED: bool>(
+    #[inline(always)]
+    unsafe fn tile<L: Lanes, const ROWS: usize, const MASKED: bool>(
         a: *const f32,
-        k: usize,
+        shape: Shape,
         b: *const f32,
         bstride: usize,
         out: *mut f32,
-        m: usize,
         w: usize,
     ) {
-        let mlo = mask(w.min(8));
-        let mhi = mask(w.saturating_sub(8));
-        let mut acc_lo = [_mm256_setzero_ps(); ROWS];
-        let mut acc_hi = [_mm256_setzero_ps(); ROWS];
+        let Shape { a_rs, a_ks, k, m } = shape;
+        let lanes = L::LANES;
+        let mlo = L::mask(w.min(lanes));
+        let mhi = L::mask(w.saturating_sub(lanes));
+        let mut acc_lo = [L::zero(); ROWS];
+        let mut acc_hi = [L::zero(); ROWS];
         for kk in 0..k {
             let bp = b.add(kk * bstride);
             let (b_lo, b_hi) = if MASKED {
                 // `wrapping_add`: the upper half may sit past the row end
-                // when `w <= 8`; its mask is all-zero, so the lanes are
+                // when `w <= lanes`; its mask is all-zero, so the lanes are
                 // architecturally never accessed, but the pointer itself must
                 // not be formed with in-bounds arithmetic.
-                (_mm256_maskload_ps(bp, mlo), _mm256_maskload_ps(bp.wrapping_add(8), mhi))
+                (L::load_masked(bp, mlo), L::load_masked(bp.wrapping_add(lanes), mhi))
             } else {
-                (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(8)))
+                (L::load(bp), L::load(bp.add(lanes)))
             };
+            let ak = a.add(kk * a_ks);
             for r in 0..ROWS {
-                let av = *a.add(r * k + kk);
-                if av != 0.0 {
-                    let va = _mm256_set1_ps(av);
-                    acc_lo[r] = _mm256_add_ps(acc_lo[r], _mm256_mul_ps(va, b_lo));
-                    acc_hi[r] = _mm256_add_ps(acc_hi[r], _mm256_mul_ps(va, b_hi));
+                if let Some(va) = L::splat_nonzero(ak.add(r * a_rs)) {
+                    acc_lo[r] = L::add(acc_lo[r], L::mul(va, b_lo));
+                    acc_hi[r] = L::add(acc_hi[r], L::mul(va, b_hi));
                 }
             }
         }
+        let full = w == 2 * lanes;
         for (r, (lo, hi)) in acc_lo.iter().zip(&acc_hi).enumerate() {
             let op = out.add(r * m);
-            if w == TILE_COLS {
-                _mm256_storeu_ps(op, *lo);
-                _mm256_storeu_ps(op.add(8), *hi);
+            if full {
+                L::store(op, *lo);
+                L::store(op.add(lanes), *hi);
             } else {
-                _mm256_maskstore_ps(op, mlo, *lo);
-                _mm256_maskstore_ps(op.wrapping_add(8), mhi, *hi);
+                L::store_masked(op, mlo, *lo);
+                L::store_masked(op.wrapping_add(lanes), mhi, *hi);
             }
         }
     }

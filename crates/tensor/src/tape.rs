@@ -729,23 +729,19 @@ impl Tape {
                     }
                     continue;
                 }
+                // `G·Bᵀ` and `Aᵀ·G` read the transposed factor in place;
+                // each is bit-identical to transposing it first.
                 Op::MatMul(a, b) => {
                     if rg(*a) {
                         let bv = val(*b);
-                        let mut bt = arena.take_matrix(bv.cols(), bv.rows());
-                        bv.transpose_into(&mut bt);
-                        let mut d = arena.take_matrix(g_out.rows(), bt.cols());
-                        g_out.matmul_into(&bt, &mut d);
-                        arena.recycle(bt);
+                        let mut d = arena.take_matrix(g_out.rows(), bv.rows());
+                        g_out.matmul_nt_into(bv, &mut d);
                         acc(arena, &mut grads, *a, d);
                     }
                     if rg(*b) {
                         let av = val(*a);
-                        let mut at = arena.take_matrix(av.cols(), av.rows());
-                        av.transpose_into(&mut at);
-                        let mut d = arena.take_matrix(at.rows(), g_out.cols());
-                        at.matmul_into(&g_out, &mut d);
-                        arena.recycle(at);
+                        let mut d = arena.take_matrix(av.cols(), g_out.cols());
+                        av.matmul_tn_into(&g_out, &mut d);
                         acc(arena, &mut grads, *b, d);
                     }
                 }

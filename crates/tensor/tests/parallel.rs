@@ -1,16 +1,17 @@
 //! Parallel-correctness properties: the pooled kernels must produce results
 //! **bit-for-bit identical** to the serial path at every thread count, and
-//! the AVX2 kernels must be bit-for-bit identical to the scalar reference.
+//! the vector kernels must be bit-for-bit identical to the scalar reference
+//! at every kernel level the host has (scalar, AVX2, AVX-512F).
 //! The kernels guarantee this by parallelizing only across output rows and
 //! accumulating every output element in the same (ascending-k / ascending-
 //! entry) order with unfused mul + add, so the sweep below — threads ∈
-//! {1, 2, 8} × kernels ∈ {simd, scalar}, installed per-thread via
-//! `edge_par::with_max_threads` / `edge_tensor::with_scalar_kernels` since
-//! the corresponding environment variables are read once per process — is a
-//! real invariant, not a tolerance check. (On hardware without AVX2 the simd
-//! arm silently runs scalar and the sweep still passes.)
+//! {1, 2, 8} × every kernel level up to `edge_tensor::simd_level()`,
+//! installed per-thread via `edge_par::with_max_threads` /
+//! `edge_tensor::with_kernel_level` since the corresponding environment
+//! variables are read once per process — is a real invariant, not a
+//! tolerance check. (On hardware without AVX2 only the scalar level runs.)
 
-use edge_tensor::{CsrMatrix, Matrix};
+use edge_tensor::{CsrMatrix, KernelLevel, Matrix, Tape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,28 +31,42 @@ fn random_csr(rows: usize, cols: usize, nnz: usize, seed: u64) -> CsrMatrix {
     CsrMatrix::from_triplets(rows, cols, &triplets)
 }
 
-/// Runs `f` under every (thread count × simd on/off) combination and asserts
-/// all results equal the scalar single-threaded reference, bit for bit.
-fn assert_thread_invariant(label: &str, f: impl Fn() -> Matrix) {
-    let reference = edge_tensor::with_scalar_kernels(|| edge_par::with_max_threads(1, &f));
-    for simd in [false, true] {
+/// The kernel levels this host can run, narrowest first.
+fn host_levels() -> impl Iterator<Item = KernelLevel> {
+    KernelLevel::ALL.into_iter().filter(|&level| level <= edge_tensor::simd_level())
+}
+
+/// Bit equality, except that any NaN matches any NaN: a NaN's sign and
+/// payload depend on the operand order of commutative IEEE operations, which
+/// the compiler is free to swap, so only NaN-ness is part of the contract.
+fn same_bits(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+fn assert_bitwise(label: &str, reference: &Matrix, result: &Matrix) {
+    assert_eq!(reference.shape(), result.shape(), "{label} shape");
+    for (i, (a, b)) in reference.data().iter().zip(result.data()).enumerate() {
+        assert!(same_bits(*a, *b), "{label} diverges at entry {i}: {a} vs {b}");
+    }
+}
+
+/// Runs `f` under every (thread count × kernel level) combination and
+/// asserts all results equal `reference`, bit for bit.
+fn assert_matches_everywhere(label: &str, reference: &Matrix, f: impl Fn() -> Matrix) {
+    for level in host_levels() {
         for threads in THREAD_SWEEP {
-            let run = || edge_par::with_max_threads(threads, &f);
-            let result = if simd { run() } else { edge_tensor::with_scalar_kernels(run) };
-            assert_eq!(
-                reference.shape(),
-                result.shape(),
-                "{label} shape @ {threads} threads, simd={simd}"
-            );
-            for (i, (a, b)) in reference.data().iter().zip(result.data()).enumerate() {
-                assert!(
-                    a.to_bits() == b.to_bits(),
-                    "{label} diverges at entry {i} with {threads} threads, \
-                     simd={simd}: {a} vs {b}"
-                );
-            }
+            let result =
+                edge_tensor::with_kernel_level(level, || edge_par::with_max_threads(threads, &f));
+            assert_bitwise(&format!("{label} @ {threads} threads, {level:?}"), reference, &result);
         }
     }
+}
+
+/// [`assert_matches_everywhere`] against the scalar single-threaded run of
+/// `f` itself.
+fn assert_thread_invariant(label: &str, f: impl Fn() -> Matrix) {
+    let reference = edge_tensor::with_scalar_kernels(|| edge_par::with_max_threads(1, &f));
+    assert_matches_everywhere(label, &reference, f);
 }
 
 #[test]
@@ -172,6 +187,137 @@ fn spmm_simd_tail_widths_match_scalar_bitwise() {
         assert_thread_invariant(&format!("spmm width {m}"), || s.matmul_dense(&x));
         let g = random_dense(60, m, 400 + m as u64);
         assert_thread_invariant(&format!("spmm^T width {m}"), || s.transpose_matmul_dense(&g));
+    }
+}
+
+/// An `rows × cols` matrix with `-0.0` and `0.0` entries, and with whole
+/// zero rows and columns, among uniform values.
+fn zero_laced(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut a = Matrix::zeros(rows, cols);
+    for r in 0..rows {
+        for c in 0..cols {
+            let v = match rng.gen_range(0..6) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-1.0..1.0),
+            };
+            // Row 1 and every 7th column stay zero.
+            if r != 1 && c % 7 != 3 {
+                a.set(r, c, v);
+            }
+        }
+    }
+    a
+}
+
+/// Uniform values with `±inf` and NaN sprinkled in.
+fn non_finite_laced(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut m = random_dense(rows, cols, seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+    for v in m.data_mut() {
+        match rng.gen_range(0..40) {
+            0 => *v = f32::INFINITY,
+            1 => *v = f32::NEG_INFINITY,
+            2 => *v = f32::NAN,
+            3 => *v = -0.0,
+            _ => {}
+        }
+    }
+    m
+}
+
+#[test]
+fn wide_tile_and_transposed_products_match_scalar_bitwise() {
+    // Every column residue modulo the 32-wide tile, row counts that are not
+    // a multiple of the 4-row block (below and above the pack threshold),
+    // and inner dimensions 0, 1 and the 194 entities of NYMA-smoke. Each
+    // product is checked against the scalar kernel on a materialized
+    // transpose, at every kernel level and thread count.
+    const ROWS: [usize; 5] = [1, 3, 6, 13, 66];
+    for residue in 1..32 {
+        let m = 32 + residue;
+        let n = ROWS[residue % ROWS.len()];
+        for k in [0, 1, 194] {
+            let seed = (residue * 1000 + k) as u64;
+            let a = zero_laced(n, k, seed);
+            let b = non_finite_laced(k, m, seed + 1);
+            let (at, bt) = (a.transpose(), b.transpose());
+            let scalar = |x: &Matrix, y: &Matrix| {
+                edge_tensor::with_scalar_kernels(|| edge_par::with_max_threads(1, || x.matmul(y)))
+            };
+            let reference = scalar(&a, &b);
+            let label = format!("{n}x{k}x{m}");
+            assert_matches_everywhere(&format!("matmul {label}"), &reference, || a.matmul(&b));
+            assert_matches_everywhere(&format!("matmul_tn {label}"), &reference, || {
+                let mut out = Matrix::zeros(0, 0);
+                at.matmul_tn_into(&b, &mut out);
+                out
+            });
+            assert_matches_everywhere(&format!("matmul_nt {label}"), &reference, || {
+                let mut out = Matrix::zeros(0, 0);
+                a.matmul_nt_into(&bt, &mut out);
+                out
+            });
+        }
+    }
+}
+
+#[test]
+fn transposed_products_of_narrow_outputs_match_scalar_bitwise() {
+    // Below 8 output columns every level runs the scalar kernel, which must
+    // read the transposed operands in place with the same bits.
+    for (n, k, m) in [(5, 194, 1), (3, 7, 6), (66, 64, 7), (9, 1, 2)] {
+        let a = zero_laced(n, k, (n * k * m) as u64);
+        let b = non_finite_laced(k, m, (n + k + m) as u64);
+        let reference = a.matmul(&b);
+        let (at, bt) = (a.transpose(), b.transpose());
+        assert_matches_everywhere(&format!("matmul_tn {n}x{k}x{m}"), &reference, || {
+            let mut out = Matrix::zeros(0, 0);
+            at.matmul_tn_into(&b, &mut out);
+            out
+        });
+        assert_matches_everywhere(&format!("matmul_nt {n}x{k}x{m}"), &reference, || {
+            let mut out = Matrix::zeros(0, 0);
+            a.matmul_nt_into(&bt, &mut out);
+            out
+        });
+    }
+}
+
+#[test]
+fn tape_matmul_backward_equals_transpose_then_multiply_bitwise() {
+    // The GCN layer shape: H (194×64) · W (64×64), then `loss = Σ (HW ⊙ C)`
+    // so the upstream gradient is exactly `C`. The tape's backward reads
+    // the transposed factors in place; it must equal multiplying by
+    // materialized transposes, bit for bit, at every level and thread count.
+    let h = zero_laced(194, 64, 71);
+    let w = random_dense(64, 64, 72);
+    let c = zero_laced(194, 64, 73);
+    let mut params = edge_tensor::ParamStore::new();
+    let h_id = params.add("h", h.clone());
+    let w_id = params.add("w", w.clone());
+    let d_h = edge_tensor::with_scalar_kernels(|| c.matmul(&w.transpose()));
+    let d_w = edge_tensor::with_scalar_kernels(|| h.transpose().matmul(&c));
+    for level in host_levels() {
+        for threads in THREAD_SWEEP {
+            let grads = edge_tensor::with_kernel_level(level, || {
+                edge_par::with_max_threads(threads, || {
+                    let mut tape = Tape::new();
+                    let hn = tape.param(h_id, &params);
+                    let wn = tape.param(w_id, &params);
+                    let cn = tape.constant(c.clone());
+                    let hw = tape.matmul(hn, wn);
+                    let masked = tape.hadamard(hw, cn);
+                    let loss = tape.sum_all(masked);
+                    tape.backward(loss)
+                })
+            });
+            let grad = |id| &grads.iter().find(|(p, _)| *p == id).expect("gradient").1;
+            let label = format!("@ {threads} threads, {level:?}");
+            assert_bitwise(&format!("dH {label}"), &d_h, grad(h_id));
+            assert_bitwise(&format!("dW {label}"), &d_w, grad(w_id));
+        }
     }
 }
 

@@ -14,7 +14,12 @@
 #    costs at most 2x a step over normal ones (`adam_subnormal`): the
 #    first-moment arithmetic runs through f64, and a compiler that narrowed
 #    it back to f32 would bring back the ~12x subnormal assists.
-# 4. Runs the smoke serve bench and checks that rendering a /predict answer
+# 4. Checks that the AVX-512F register tile earns its width: on a host
+#    with AVX-512F, the dense matmul at that level runs at least 1.3x the
+#    AVX2 level's GFLOP/s on both training shapes (`matmul_levels`: the
+#    194x64 * 64x64 GCN product and the weight gradient X^T * G read in
+#    place). Hosts without AVX-512F print that the gate was skipped.
+# 5. Runs the smoke serve bench and checks that rendering a /predict answer
 #    (`render`: the Ryu-based float writer, over every answered test text)
 #    costs at most half of rendering it through `Display`, which is what
 #    the writer replaced; the bench also asserts the two agree byte for
@@ -64,6 +69,23 @@ assert adam["ratio"] <= 2.0, (
     f"{adam['subnormal_step_us']:.1f}us vs {adam['normal_step_us']:.1f}us "
     f"({adam['ratio']:.2f}x > 2.0x)"
 )
+mm = out["matmul_levels"]
+levels = {l["level"]: l for l in mm["levels"]}
+if "avx512" in levels and "avx2" in levels:
+    for shape in ("forward_gflops", "weight_grad_gflops"):
+        wide, narrow = levels["avx512"][shape], levels["avx2"][shape]
+        assert wide >= 1.3 * narrow, (
+            f"AVX-512F matmul {shape} {wide:.1f} GFLOP/s vs AVX2 "
+            f"{narrow:.1f} ({wide / narrow:.2f}x < 1.3x)"
+        )
+    print("matmul width OK: avx512 vs avx2 "
+          f"{levels['avx512']['forward_gflops'] / levels['avx2']['forward_gflops']:.2f}x "
+          "forward, "
+          f"{levels['avx512']['weight_grad_gflops'] / levels['avx2']['weight_grad_gflops']:.2f}x "
+          f"weight gradient (training runs at {mm['kernel_level']})")
+else:
+    print(f"matmul width gate skipped: no AVX-512F level on this host "
+          f"(levels {sorted(levels)})")
 print(f"perf smoke OK: 0 allocs/batch on arena legs "
       f"({fresh['allocs_per_batch']} fresh), "
       f"arena speedup {out['edge_speedup']['arena_speedup']:.2f}x, "
