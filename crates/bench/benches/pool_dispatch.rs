@@ -1,6 +1,7 @@
-//! Dispatch overhead of the `edge-par` persistent pool at the workload shape
-//! the training loop actually uses (a `parallel_for` over a handful of row
-//! blocks).
+//! Dispatch overhead of the `edge-par` persistent pool at the shape of a
+//! split product (a `parallel_for` over a handful of row blocks). This cost,
+//! paid per product, is why products below `edge_tensor::PAR_THRESHOLD`
+//! stay on the calling thread.
 //!
 //! The acceptance bar for the pooled path is < 10µs per dispatch: the pool's
 //! cost is a queue push + condvar wake. On a single-core host the submitter

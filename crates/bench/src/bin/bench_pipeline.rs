@@ -5,7 +5,8 @@
 //! the persistent `edge-par` pool vs forced scalar kernels), the
 //! `simd_vs_scalar` microkernel comparison, the dense matmul's GFLOP/s at
 //! every kernel level the host has on the two training shapes
-//! (`matmul_levels`), an Adam step with and without
+//! (`matmul_levels`), one product above the pool's split threshold at one
+//! and two threads (`par_split`), an Adam step with and without
 //! subnormal first moments (`adam_subnormal`), and a per-op self-time table
 //! (`op_profile`) from one traced EDGE training run after every timed leg.
 //!
@@ -13,14 +14,15 @@
 //!
 //! Writes `results/BENCH_pipeline.{json,txt}`. The JSON is an object:
 //! `{ "threads": N, "records": [...], "edge_speedup": {...},
-//!    "simd_vs_scalar": {...}, "matmul_levels": {...}, "adam_subnormal": {...},
+//!    "simd_vs_scalar": {...}, "matmul_levels": {...}, "par_split": {...},
+//!    "adam_subnormal": {...},
 //!    "op_profile": [...] }`.
 
 use edge_bench::{
-    render_adam_subnormal, render_matmul_levels, render_op_profile, render_pipeline_table,
-    render_simd_table, render_speedup_table, run_adam_subnormal_bench, run_edge_speedup,
-    run_matmul_levels_bench, run_op_profile, run_pipeline_bench, run_simd_kernel_bench,
-    HarnessConfig, MethodSet,
+    render_adam_subnormal, render_matmul_levels, render_op_profile, render_par_split,
+    render_pipeline_table, render_simd_table, render_speedup_table, run_adam_subnormal_bench,
+    run_edge_speedup, run_matmul_levels_bench, run_op_profile, run_par_split_bench,
+    run_pipeline_bench, run_simd_kernel_bench, HarnessConfig, MethodSet,
 };
 use edge_data::{nyma, PresetSize};
 use serde::Serialize;
@@ -34,6 +36,8 @@ struct PipelineBenchOutput {
     simd_vs_scalar: edge_bench::SimdKernelBench,
     /// Dense matmul GFLOP/s per kernel level at the training shapes.
     matmul_levels: edge_bench::MatmulLevels,
+    /// One above-threshold product at one and two threads.
+    par_split: edge_bench::ParSplit,
     adam_subnormal: edge_bench::AdamSubnormalBench,
     /// Per-span self time over one traced EDGE training, largest first.
     op_profile: Vec<edge_bench::OpProfileRow>,
@@ -77,6 +81,10 @@ fn main() {
     let matmul_levels = run_matmul_levels_bench();
     edge_obs::progress!("{}", render_matmul_levels(&matmul_levels).trim_end());
 
+    edge_obs::progress!("== one product above the split threshold, 1 vs 2 threads ==");
+    let par_split = run_par_split_bench();
+    edge_obs::progress!("   {}", render_par_split(&par_split).trim_end());
+
     edge_obs::progress!("== Adam step with / without subnormal first moments ==");
     let adam_subnormal = run_adam_subnormal_bench();
     edge_obs::progress!("   {}", render_adam_subnormal(&adam_subnormal).trim_end());
@@ -88,12 +96,13 @@ fn main() {
 
     let text = format!(
         "Pipeline bench ({size:?} scale): wall time + peak RSS per method\n{}\n\
-         EDGE training dispatch comparison\n{}\n{}\n{}\n{}\n\
+         EDGE training dispatch comparison\n{}\n{}\n{}\n{}\n{}\n\
          Per-op self time, one traced EDGE training\n{}\n{}",
         render_pipeline_table(&records),
         render_speedup_table(&edge_speedup),
         render_simd_table(&simd_vs_scalar),
         render_matmul_levels(&matmul_levels),
+        render_par_split(&par_split),
         render_adam_subnormal(&adam_subnormal),
         render_op_profile(&op_profile),
         metrics
@@ -105,6 +114,7 @@ fn main() {
         edge_speedup,
         simd_vs_scalar,
         matmul_levels,
+        par_split,
         adam_subnormal,
         op_profile,
     };

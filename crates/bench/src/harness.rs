@@ -439,6 +439,11 @@ pub struct SpeedupLeg {
     /// compiled in. Zero for the arena legs; large for the fresh-alloc leg.
     #[serde(default)]
     pub allocs_per_batch: Option<u64>,
+    /// `par.pool.jobs` dispatched by the leg's training (evaluation not
+    /// counted). Zero at shapes below `edge_tensor::PAR_THRESHOLD`, where
+    /// the serial and pooled legs run the same code.
+    #[serde(default)]
+    pub pool_jobs: u64,
 }
 
 /// Before/after table for the training hot path: the same EDGE training run
@@ -448,8 +453,10 @@ pub struct SpeedupLeg {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EdgeSpeedup {
     pub legs: Vec<SpeedupLeg>,
-    /// `serial train_secs / pooled train_secs` — the headline number. ~1.0
-    /// on a single-core host.
+    /// `serial train_secs / pooled train_secs`. ~1.0 when the pooled leg's
+    /// `pool_jobs` is 0 (every product below `edge_tensor::PAR_THRESHOLD`,
+    /// as at smoke scale) or on a single-core host: both legs then run the
+    /// same code. [`ParSplit`] checks that the pool pays above the threshold.
     pub train_speedup: f64,
     /// `fresh-alloc train_secs / pooled train_secs` — what the tape arena
     /// buys at identical thread count and dispatch mode.
@@ -474,9 +481,13 @@ fn run_edge_leg(
 ) -> SpeedupLeg {
     let (train, test) = dataset.paper_split();
     let ner = dataset_recognizer(dataset);
+    let _metrics = edge_obs::metrics_lease();
+    let jobs = edge_obs::metrics::counter("par.pool.jobs");
     let start = std::time::Instant::now();
+    let jobs_before = jobs.get();
     let (model, report) =
         EdgeModel::train(train, ner, &dataset.bbox, config.clone(), opts).expect("train");
+    let pool_jobs = jobs.get() - jobs_before;
     let outcome = model.evaluate(test, &PredictOptions::default());
     let wall_secs = start.elapsed().as_secs_f64();
     let dist = outcome.report().expect("EDGE produced no predictions");
@@ -487,6 +498,7 @@ fn run_edge_leg(
         train_secs: report.train_loop_secs(),
         mean_km: dist.mean_km,
         allocs_per_batch: report.steady_batch_allocs,
+        pool_jobs,
     }
 }
 
@@ -501,6 +513,11 @@ fn merge_best(best: SpeedupLeg, next: SpeedupLeg) -> SpeedupLeg {
         best.label,
         best.mean_km,
         next.mean_km
+    );
+    assert_eq!(
+        best.pool_jobs, next.pool_jobs,
+        "{}: pool dispatches differ across rounds",
+        best.label
     );
     SpeedupLeg {
         wall_secs: best.wall_secs.min(next.wall_secs),
@@ -571,14 +588,20 @@ pub fn run_edge_speedup(dataset: &Dataset, config: &EdgeConfig) -> EdgeSpeedup {
 pub fn render_speedup_table(s: &EdgeSpeedup) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<22} {:>8} {:>10} {:>11} {:>9} {:>12}\n",
-        "Config", "Threads", "Wall(s)", "Train(s)", "Mean(km)", "Alloc/batch"
+        "{:<22} {:>8} {:>10} {:>11} {:>9} {:>12} {:>10}\n",
+        "Config", "Threads", "Wall(s)", "Train(s)", "Mean(km)", "Alloc/batch", "Pool jobs"
     ));
     for leg in &s.legs {
         let allocs = leg.allocs_per_batch.map_or_else(|| "-".to_string(), |a| a.to_string());
         out.push_str(&format!(
-            "{:<22} {:>8} {:>10.2} {:>11.2} {:>9.2} {:>12}\n",
-            leg.label, leg.threads, leg.wall_secs, leg.train_secs, leg.mean_km, allocs
+            "{:<22} {:>8} {:>10.2} {:>11.2} {:>9.2} {:>12} {:>10}\n",
+            leg.label,
+            leg.threads,
+            leg.wall_secs,
+            leg.train_secs,
+            leg.mean_km,
+            allocs,
+            leg.pool_jobs
         ));
     }
     out.push_str(&format!("train-loop speedup (serial / pooled): {:.2}x\n", s.train_speedup));
@@ -920,6 +943,79 @@ pub fn run_matmul_levels_bench() -> MatmulLevels {
             })
             .collect(),
     }
+}
+
+/// The `par_split` section of `BENCH_pipeline.json`: one dense product above
+/// `edge_tensor::PAR_THRESHOLD` at one and at two threads, the case the
+/// split rule exists for.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ParSplit {
+    /// `[n, k, m]`: `X(n×k)·W(k×m)`, a paper-profile GCN layer's forward
+    /// product on NYMA-smoke's 194 entities.
+    pub shape: [usize; 3],
+    /// Best time of one product at one thread, seconds.
+    pub serial_secs: f64,
+    /// Best time of one product at two threads, seconds.
+    pub pooled_secs: f64,
+    /// `serial_secs / pooled_secs`. CI gates it at ≥ 1.2 when the pool has
+    /// more than one thread.
+    pub speedup: f64,
+    /// `par.pool.jobs` dispatched by one product at two threads (1).
+    pub pool_jobs: u64,
+}
+
+/// Times the [`ParSplit`] product at one and two threads, in interleaved
+/// rounds that alternate which side runs first; each side keeps its best.
+pub fn run_par_split_bench() -> ParSplit {
+    use edge_tensor::Matrix;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    const ROUNDS: usize = 6;
+    const BUDGET: std::time::Duration = std::time::Duration::from_millis(40);
+    let (n, k, m) = (194, 400, 400);
+    let mut rng = StdRng::seed_from_u64(0x5B_17);
+    let x = Matrix::random_uniform(n, k, 1.0, &mut rng);
+    let w = Matrix::random_uniform(k, m, 1.0, &mut rng);
+    let mut out = Matrix::zeros(0, 0);
+    let mut time_at = |threads: usize| {
+        edge_par::with_max_threads(threads, || {
+            best_iter_secs(BUDGET, || x.matmul_into(&w, &mut out))
+        })
+    };
+    let (mut serial, mut pooled) = (f64::INFINITY, f64::INFINITY);
+    for round in 0..ROUNDS {
+        if round % 2 == 0 {
+            serial = serial.min(time_at(1));
+            pooled = pooled.min(time_at(2));
+        } else {
+            pooled = pooled.min(time_at(2));
+            serial = serial.min(time_at(1));
+        }
+    }
+    let _metrics = edge_obs::metrics_lease();
+    let jobs = edge_obs::metrics::counter("par.pool.jobs");
+    let before = jobs.get();
+    edge_par::with_max_threads(2, || x.matmul_into(&w, &mut out));
+    ParSplit {
+        shape: [n, k, m],
+        serial_secs: serial,
+        pooled_secs: pooled,
+        speedup: serial / pooled,
+        pool_jobs: jobs.get() - before,
+    }
+}
+
+/// Renders the [`ParSplit`] leg as one line of text.
+pub fn render_par_split(s: &ParSplit) -> String {
+    let [n, k, m] = s.shape;
+    format!(
+        "Split product {n}x{k}x{m}: {:.3} ms at 1 thread, {:.3} ms at 2 threads \
+         ({:.2}x, {} pool job(s))\n",
+        s.serial_secs * 1e3,
+        s.pooled_secs * 1e3,
+        s.speedup,
+        s.pool_jobs
+    )
 }
 
 /// Renders the per-level matmul throughput as aligned text.

@@ -33,7 +33,13 @@ COMMANDS:
                  --components <M>                    (override profile)
                  --seed <u64>                        (default 42)
                  --threads <n>                       (worker threads; default: all
-                                                      cores, or EDGE_NUM_THREADS)
+                                                      cores, or EDGE_NUM_THREADS.
+                                                      Only products of 4M+ multiply-
+                                                      adds split, e.g. the paper
+                                                      profile's GCN layers; the
+                                                      smoke and fast profiles train
+                                                      on one thread. Evaluation
+                                                      fans out over all of them)
                  --out <path>                        (required)
                  --checkpoint-dir <dir>              (write crash-safe checkpoints)
                  --checkpoint-every <n>              (epochs between checkpoints;
@@ -58,7 +64,8 @@ COMMANDS:
                  --data <path>                       (required)
                  --fallback-prior                    (score zero-entity tweets with
                                                       the training-split prior)
-                 --threads <n>                       (worker threads)
+                 --threads <n>                       (worker threads; test tweets
+                                                      are predicted in parallel)
                  --trace <path>                      (dump span trace as JSONL)
                  --metrics-out <path>                (dump metrics snapshot as JSON)
     serve      run the event-loop HTTP inference server on saved model(s)
@@ -78,7 +85,9 @@ COMMANDS:
                                                       sets within this Hamming distance;
                                                       0 = exact only; default 0)
                  --fallback-prior                    (default zero-entity policy)
-                 --threads <n>                       (worker threads)
+                 --threads <n>                       (worker-pool width; inference
+                                                      runs on the event loops and
+                                                      does not use the pool)
                  --slo-p99-us <n>                    (SLO latency target; default 100000)
                  --slo-max-shed-rate <f>             (SLO shed budget; default 0.01)
                  --slo-window-secs <n>               (SLO rolling window; default 60)
@@ -118,7 +127,7 @@ COMMANDS:
                  --preset nyma|lama|ny2020|covid19   (default nyma)
                  --size smoke|default|paper          (default smoke)
                  --seed <u64>                        (default 42)
-                 --threads <n>                       (worker threads)
+                 --threads <n>                       (worker threads; as for train)
                  --out <dir>                         (default results; telemetry
                                                       JSONL lands in <dir>/telemetry)
                  --trace <path>                      (also dump raw span trace JSONL)

@@ -4,6 +4,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::{EARTH_RADIUS_KM, KM_PER_DEG_LAT};
 
+/// `√(hav θ)` from which [`Point::haversine_km`] and the batched kernel take
+/// the half-angle through the antipode identity rather than `asin(√a)`.
+/// `asin`'s slope 1/√(1−x²) is 1.7 here; the identity's own `asin` argument
+/// is then at most 0.6, where the slope is 1.25.
+pub(crate) const ANTIPODE_IDENTITY_FROM: f64 = 0.8;
+
 /// A geographic point: latitude and longitude in decimal degrees.
 ///
 /// Latitude is the first coordinate throughout this workspace, matching the
@@ -24,13 +30,29 @@ impl Point {
     }
 
     /// Great-circle distance to `other` in kilometres (haversine formula).
+    ///
+    /// `θ/2 = asin(√a)` with `a = hav θ`, except where `√a` reaches 0.8
+    /// (beyond ~11,800 km): there `asin`'s slope would amplify the rounding
+    /// of `a`, so the half-angle comes from the distance to `other`'s
+    /// antipode instead, `θ/2 = π/2 − asin(√(1 − a))` with
+    /// `1 − a = sin²((φ₁+φ₂)/2) + cos φ₁ cos φ₂ cos²(Δλ/2)` summed from
+    /// non-negative terms, so nothing cancels.
     pub fn haversine_km(&self, other: &Point) -> f64 {
         let (lat1, lon1) = (self.lat.to_radians(), self.lon.to_radians());
         let (lat2, lon2) = (other.lat.to_radians(), other.lon.to_radians());
         let dlat = lat2 - lat1;
         let dlon = lon2 - lon1;
-        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
-        2.0 * EARTH_RADIUS_KM * a.sqrt().min(1.0).asin()
+        let coscos = lat1.cos() * lat2.cos();
+        let a = (dlat / 2.0).sin().powi(2) + coscos * (dlon / 2.0).sin().powi(2);
+        let root = a.sqrt().min(1.0);
+        let half_angle = if root < ANTIPODE_IDENTITY_FROM {
+            root.asin()
+        } else {
+            let to_antipode =
+                ((lat1 + lat2) / 2.0).sin().powi(2) + coscos * (dlon / 2.0).cos().powi(2);
+            std::f64::consts::FRAC_PI_2 - to_antipode.sqrt().min(1.0).asin()
+        };
+        2.0 * EARTH_RADIUS_KM * half_angle
     }
 
     /// Projects `self` into a local planar frame centred at `origin`,

@@ -19,8 +19,11 @@
 //! `tests/simd_accuracy.rs` are a real check of the algorithm, not of a
 //! constant table. The final `asin` of the haversine stays scalar libm: it
 //! runs once per pair, after the vector passes have done the heavy lifting.
-//! Near-antipodal pairs, where `asin` would amplify the polynomials'
-//! rounding past the gate, are finished with the whole scalar formula.
+//! Near-antipodal pairs, where `asin(√a)` would amplify the polynomials'
+//! rounding past the gate, take their half-angle from the distance to the
+//! antipode instead, computed in the same vector pass (see
+//! [`Point::haversine_km`], which applies the same rule), so every pair of
+//! a full group of four stays on the vector path.
 //!
 //! Detection is shared with `edge-tensor` through `edge-par`: one cached
 //! `is_x86_feature_detected!` probe, one `EDGE_NO_SIMD` escape hatch, and
@@ -28,41 +31,37 @@
 //! workers inherit from the submitting thread. With SIMD off, every caller
 //! runs the untouched scalar code.
 
-use crate::point::Point;
+use crate::point::{Point, ANTIPODE_IDENTITY_FROM};
 
 pub use edge_par::{simd_active, simd_available, with_scalar_kernels};
-
-/// `asin` argument from which a pair is finished with the scalar formula
-/// (distances beyond ~11,800 km). `asin`'s slope 1/√(1−x²) is 1.7 here
-/// and unbounded towards 1, so near-antipodal pairs would amplify the
-/// vector `sin`/`cos` error past the 1e-9 km drift gate; with this cut the
-/// largest drift over 2M random pairs is 4.5e-10 km.
-const SCALAR_FINISH_ASIN_ARG: f64 = 0.8;
 
 /// Haversine distances for a batch of `(predicted, truth)` pairs, in km.
 ///
 /// With the vector kernels active the degree→radian conversion, the
 /// `sin`/`cos` evaluations and the haversine algebra run four pairs at a
-/// time; the final `2R·asin(√a)` is one scalar libm call per pair, and a
-/// near-antipodal pair is recomputed with [`Point::haversine_km`]. Without
-/// them this is exactly the scalar [`Point::haversine_km`] map.
+/// time; the final half-angle is one scalar libm `asin` per pair, taken
+/// either of `√a` or, from `√a = 0.8`, of the antipode term as
+/// [`Point::haversine_km`] takes it. Without them this is exactly the
+/// scalar [`Point::haversine_km`] map.
 pub fn haversine_km_batch(pairs: &[(Point, Point)]) -> Vec<f64> {
     #[cfg(target_arch = "x86_64")]
     if simd_active() {
         let mut out = vec![0.0; pairs.len()];
-        let mut i = 0;
-        while i + 4 <= pairs.len() {
-            let asin_arg = unsafe { avx2::haversine4_asin_arg(&pairs[i..i + 4]) };
-            for ((o, arg), (p, t)) in out[i..i + 4].iter_mut().zip(asin_arg).zip(&pairs[i..i + 4]) {
-                *o = if arg < SCALAR_FINISH_ASIN_ARG {
-                    2.0 * crate::EARTH_RADIUS_KM * arg.asin()
-                } else {
-                    p.haversine_km(t)
-                };
+        let groups = pairs.chunks_exact(4);
+        let tail = groups.remainder();
+        for (o, group) in out.chunks_exact_mut(4).zip(groups) {
+            // SAFETY: `simd_active()` verified AVX2+FMA; the group holds
+            // exactly four pairs.
+            let (args, far) = unsafe { avx2::haversine4_asin_args(group) };
+            for (lane, (o, arg)) in o.iter_mut().zip(args).enumerate() {
+                let s = arg.asin();
+                let half_angle =
+                    if far & (1 << lane) != 0 { std::f64::consts::FRAC_PI_2 - s } else { s };
+                *o = 2.0 * crate::EARTH_RADIUS_KM * half_angle;
             }
-            i += 4;
         }
-        for (o, (p, t)) in out[i..].iter_mut().zip(&pairs[i..]) {
+        let done = pairs.len() - tail.len();
+        for (o, (p, t)) in out[done..].iter_mut().zip(tail) {
             *o = p.haversine_km(t);
         }
         return out;
@@ -149,38 +148,48 @@ mod avx2 {
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn sin4(x: __m256d) -> __m256d {
-        let (y, j) = reduce_pi2(x);
-        let w = _mm256_mul_pd(y, y);
-        let res = _mm256_blendv_pd(sin_poly(y, w), cos_poly(w), bit_mask(j, 1));
-        // sin(y + jπ/2) flips sign when j ≡ 2, 3 (mod 4).
-        let sign = _mm256_and_pd(bit_mask(j, 2), _mm256_set1_pd(-0.0));
-        _mm256_xor_pd(res, sign)
+        sincos4(x).0
     }
 
     /// cos(x) per lane for |x| ≤ π.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn cos4(x: __m256d) -> __m256d {
-        let (y, j) = reduce_pi2(x);
-        let w = _mm256_mul_pd(y, y);
-        let res = _mm256_blendv_pd(cos_poly(w), sin_poly(y, w), bit_mask(j, 1));
-        // cos(y + jπ/2) flips sign when j ≡ 1, 2 (mod 4).
-        let j1 = _mm256_add_epi64(j, _mm256_set1_epi64x(1));
-        let sign = _mm256_and_pd(bit_mask(j1, 2), _mm256_set1_pd(-0.0));
-        _mm256_xor_pd(res, sign)
+        sincos4(x).1
     }
 
-    /// The vector passes of the haversine for four pairs: deg→rad, the four
-    /// trig evaluations, the `a`-term algebra, and `√a` clamped to 1.
-    /// Returns the per-pair `asin` argument; the caller applies the scalar
-    /// `2R·asin` finish.
+    /// `(sin x, cos x)` per lane for |x| ≤ π, from one reduction.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn sincos4(x: __m256d) -> (__m256d, __m256d) {
+        let (y, j) = reduce_pi2(x);
+        let w = _mm256_mul_pd(y, y);
+        let (s, c) = (sin_poly(y, w), cos_poly(w));
+        let odd = bit_mask(j, 1);
+        // sin(y + jπ/2) flips sign when j ≡ 2, 3 (mod 4); cos when j ≡ 1, 2.
+        let sin_sign = _mm256_and_pd(bit_mask(j, 2), _mm256_set1_pd(-0.0));
+        let j1 = _mm256_add_epi64(j, _mm256_set1_epi64x(1));
+        let cos_sign = _mm256_and_pd(bit_mask(j1, 2), _mm256_set1_pd(-0.0));
+        (
+            _mm256_xor_pd(_mm256_blendv_pd(s, c, odd), sin_sign),
+            _mm256_xor_pd(_mm256_blendv_pd(c, s, odd), cos_sign),
+        )
+    }
+
+    /// The vector passes of the haversine for four pairs: deg→rad, the trig
+    /// evaluations, and both `a = hav θ` and the antipode term
+    /// `1 − a = sin²((φ₁+φ₂)/2) + cos φ₁ cos φ₂ cos²(Δλ/2)`. Returns each
+    /// pair's `asin` argument — `√a`, or `√(1 − a)` where `√a` reaches
+    /// [`super::ANTIPODE_IDENTITY_FROM`], both clamped to 1 — and a bit mask
+    /// of the pairs that took the second, whose half-angle is
+    /// `π/2 − asin(arg)`.
     ///
     /// # Safety
     ///
     /// Requires AVX2+FMA (guaranteed by the [`super::simd_active`] gate) and
     /// exactly four pairs.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn haversine4_asin_arg(pairs: &[(Point, Point)]) -> [f64; 4] {
+    pub unsafe fn haversine4_asin_args(pairs: &[(Point, Point)]) -> ([f64; 4], u32) {
         debug_assert_eq!(pairs.len(), 4);
         let rad = _mm256_set1_pd(std::f64::consts::PI / 180.0);
         let pick = |f: fn(&(Point, Point)) -> f64| {
@@ -194,13 +203,19 @@ mod avx2 {
         let lat2 = pick(|p| p.1.lat);
         let lon2 = pick(|p| p.1.lon);
         let half = _mm256_set1_pd(0.5);
+        let one = _mm256_set1_pd(1.0);
         let sdlat = sin4(_mm256_mul_pd(_mm256_sub_pd(lat2, lat1), half));
-        let sdlon = sin4(_mm256_mul_pd(_mm256_sub_pd(lon2, lon1), half));
+        let ssum = sin4(_mm256_mul_pd(_mm256_add_pd(lat1, lat2), half));
+        let (sdlon, cdlon) = sincos4(_mm256_mul_pd(_mm256_sub_pd(lon2, lon1), half));
         let coscos = _mm256_mul_pd(cos4(lat1), cos4(lat2));
         let a = _mm256_fmadd_pd(_mm256_mul_pd(coscos, sdlon), sdlon, _mm256_mul_pd(sdlat, sdlat));
-        let arg = _mm256_min_pd(_mm256_sqrt_pd(a), _mm256_set1_pd(1.0));
+        let b = _mm256_fmadd_pd(_mm256_mul_pd(coscos, cdlon), cdlon, _mm256_mul_pd(ssum, ssum));
+        let root_a = _mm256_min_pd(_mm256_sqrt_pd(a), one);
+        let root_b = _mm256_min_pd(_mm256_sqrt_pd(b), one);
+        let cut = _mm256_set1_pd(super::ANTIPODE_IDENTITY_FROM);
+        let far = _mm256_cmp_pd::<_CMP_GE_OQ>(root_a, cut);
         let mut out = [0.0; 4];
-        _mm256_storeu_pd(out.as_mut_ptr(), arg);
-        out
+        _mm256_storeu_pd(out.as_mut_ptr(), _mm256_blendv_pd(root_a, root_b, far));
+        (out, _mm256_movemask_pd(far) as u32)
     }
 }

@@ -214,8 +214,9 @@ fn distance_report_mean_km_drift_under_1e6() {
 }
 
 /// Near-antipodal pairs: `asin`'s slope 1/√(1−x²) grows without bound as
-/// its argument nears 1, so any rounding in the vector sin/cos passes
-/// would be amplified past the gate here. Deterministic pairs at offsets
+/// its argument nears 1, so `asin(√a)` would amplify any rounding in the
+/// vector sin/cos passes past the gate here; both paths take these pairs
+/// through the antipode identity instead. Deterministic pairs at offsets
 /// from 1° down to exactly antipodal, in batches of four so every pair
 /// takes the vector path where it is active.
 #[test]
@@ -234,6 +235,54 @@ fn near_antipodal_pairs_stay_within_the_drift_gate() {
     for ((p, t), fast) in pairs.iter().zip(edge_geo::haversine_km_batch(&pairs)) {
         let scalar = p.haversine_km(t);
         assert!((fast - scalar).abs() < 1e-9, "drift {fast} vs {scalar} for {p:?} -> {t:?}");
+    }
+}
+
+/// Two million pairs uniform in latitude and longitude over the whole
+/// globe, ~37% of them past the antipode-identity cut: every full group of
+/// four takes the vector path where it is active, and each pair stays
+/// within 1e-9 km of the scalar formula.
+#[test]
+fn two_million_random_pairs_stay_within_the_drift_gate() {
+    let mut rng = StdRng::seed_from_u64(0x2D_1F7);
+    let mut point = || Point::new(rng.gen_range(-90.0..90.0), rng.gen_range(-180.0..180.0));
+    let pairs: Vec<(Point, Point)> = (0..2_000_000).map(|_| (point(), point())).collect();
+    let batch = edge_geo::haversine_km_batch(&pairs);
+    let (worst, at) = pairs
+        .iter()
+        .zip(&batch)
+        .map(|((p, t), fast)| ((fast - p.haversine_km(t)).abs(), (*p, *t)))
+        .fold((0.0, None), |(w, at), (d, pair)| if d > w { (d, Some(pair)) } else { (w, at) });
+    assert!(worst < 1e-9, "largest drift {worst:e} km at {at:?}");
+}
+
+/// Pairs whose distance is known exactly: antipodes, pole to pole, the
+/// same pole at two longitudes, and short hops across the ±180° meridian.
+/// The batched kernel and the scalar formula both land within 1e-9 km of
+/// the true distance.
+#[test]
+fn exact_antipodes_poles_and_dateline_pairs_match_the_true_distance() {
+    use std::f64::consts::PI;
+    let r = edge_geo::EARTH_RADIUS_KM;
+    let mut cases = Vec::new();
+    for (lat, lon) in [(0.0, 0.0), (40.7, -74.0), (-33.9, 151.2), (89.5, 10.0), (12.3, 179.9)] {
+        let antipode_lon = if lon > 0.0 { lon - 180.0 } else { lon + 180.0 };
+        cases.push((Point::new(lat, lon), Point::new(-lat, antipode_lon), PI * r));
+    }
+    for (lon1, lon2) in [(0.0, 0.0), (0.0, 180.0), (-120.0, 45.0), (179.0, -179.0)] {
+        cases.push((Point::new(90.0, lon1), Point::new(-90.0, lon2), PI * r));
+        cases.push((Point::new(-90.0, lon1), Point::new(90.0, lon2), PI * r));
+        cases.push((Point::new(90.0, lon1), Point::new(90.0, lon2), 0.0));
+    }
+    for (lon1, lon2, degrees) in [(179.5, -179.5, 1.0), (-179.9, 179.9, 0.2), (180.0, -180.0, 0.0)]
+    {
+        cases.push((Point::new(0.0, lon1), Point::new(0.0, lon2), degrees * PI / 180.0 * r));
+    }
+    let pairs: Vec<(Point, Point)> = cases.iter().map(|&(p, t, _)| (p, t)).collect();
+    for ((p, t, truth), fast) in cases.iter().zip(edge_geo::haversine_km_batch(&pairs)) {
+        let scalar = p.haversine_km(t);
+        assert!((fast - truth).abs() < 1e-9, "batched {fast} vs {truth} for {p:?} -> {t:?}");
+        assert!((scalar - truth).abs() < 1e-9, "scalar {scalar} vs {truth} for {p:?} -> {t:?}");
     }
 }
 

@@ -5,8 +5,9 @@
 //! GPU; the Rust ML ecosystem has no equivalent for sparse GCN training, so
 //! this crate implements the required subset from scratch:
 //!
-//! * [`Matrix`] — dense row-major f32 matrices with a register-blocked,
-//!   pool-parallel matmul (dispatching directly onto `edge-par`),
+//! * [`Matrix`] — dense row-major f32 matrices with a register-blocked
+//!   matmul that splits across the `edge-par` pool from
+//!   [`PAR_THRESHOLD`] multiply-adds (so does the sparse product),
 //! * [`CsrMatrix`] — sparse CSR matrices for the constant GCN propagation
 //!   operator,
 //! * [`Tape`] — an eagerly evaluated autodiff graph covering dense/sparse

@@ -1,5 +1,5 @@
-//! Dense row-major f32 matrices with a pool-parallel, register-blocked
-//! matmul.
+//! Dense row-major f32 matrices with a register-blocked matmul that splits
+//! across the worker pool once a product is large enough.
 //!
 //! This is the storage type of the autodiff engine. It deliberately stays
 //! two-dimensional: every tensor in the EDGE model (embedding tables, GCN
@@ -10,29 +10,28 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Work size (`rows × inner × cols`) above which [`Matrix::matmul`] fans out
-/// across the worker pool (and opens a trace span). Below it, the dispatch
-/// overhead outweighs the kernel time.
-pub const PAR_THRESHOLD: usize = 32 * 1024;
+/// Work, in multiply-adds, from which a product fans out across the worker
+/// pool: `n·k·m` for a dense product ([`Matrix::matmul`] and its transposed
+/// forms), `nnz·m` for a sparse one ([`crate::CsrMatrix::matmul_dense`]).
+/// Below it a product runs on the calling thread. The value comes from whole
+/// trainings, not from a product loop in isolation: waking a parked worker
+/// for every product of a small model's batch (the fast profile's largest
+/// is 794,624 multiply-adds, its spmm 84,352) made a 2-thread training
+/// slower than a 1-thread one, while the paper profile's 31M-MAC GCN
+/// products still gain from the split. Chunk layout does not depend on the
+/// split, so results are bitwise the same on either side of it.
+pub const PAR_THRESHOLD: usize = 4 << 20;
+
+/// Work size (`rows × inner × cols`) from which a dense product opens a
+/// `matmul` trace span; smaller products would flood the trace, and their
+/// time shows up in the caller's self time anyway.
+const SPAN_THRESHOLD: usize = 32 * 1024;
 
 /// Output rows per [`Matrix::matmul`] register block: each streamed row of
 /// the right-hand operand is reused this many times before eviction. Also the
 /// row height of the vector register tile (`simd::TILE_ROWS`), so pool chunk
 /// boundaries and SIMD tile boundaries always coincide.
 pub(crate) const MATMUL_ROW_BLOCK: usize = 4;
-
-/// The dispatch threshold actually applied by [`Matrix::matmul`]: the vector
-/// kernels clear a given product ~4x faster than scalar, so the work size at
-/// which pool dispatch pays for itself rises by the same factor. Under
-/// `EDGE_NO_SIMD` this is exactly [`PAR_THRESHOLD`], keeping the scalar
-/// engine byte-identical to its pre-SIMD behavior.
-pub(crate) fn par_threshold() -> usize {
-    if crate::simd::simd_active() {
-        PAR_THRESHOLD * 4
-    } else {
-        PAR_THRESHOLD
-    }
-}
 
 /// Square tile side for the cache-blocked [`Matrix::transpose`].
 const TRANSPOSE_BLOCK: usize = 32;
@@ -185,8 +184,10 @@ impl Matrix {
         self.data.copy_from_slice(&other.data);
     }
 
-    /// Matrix product `self × other` (pool-parallel over row blocks, with
-    /// a k-inner loop ordered for cache-friendly access to `other`).
+    /// Matrix product `self × other`: row blocks with a k-inner loop ordered
+    /// for cache-friendly access to `other`, split across the worker pool
+    /// when `n·k·m` reaches [`PAR_THRESHOLD`] and run on the calling thread
+    /// below it.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
         self.matmul_into(other, &mut out);
@@ -466,15 +467,12 @@ impl<'a> Operand<'a> {
 fn gemm_into(a: Operand<'_>, b: Operand<'_>, out: &mut Matrix, n: usize, k: usize, m: usize) {
     edge_obs::counter!("tensor.matmul.calls").inc(1);
     edge_obs::counter!("tensor.matmul.flops").inc(2 * (n * k * m) as u64);
-    // Only span products big enough to matter; sub-threshold products
-    // would flood the trace and their time shows up in the caller's
-    // self time anyway.
-    let _span = (n * k * m >= PAR_THRESHOLD).then(|| edge_obs::span("matmul"));
+    let _span = (n * k * m >= SPAN_THRESHOLD).then(|| edge_obs::span("matmul"));
     out.reset_zeroed(n, m);
     if out.data.is_empty() || k == 0 {
         return;
     }
-    let parallel = n * k * m >= par_threshold();
+    let parallel = n * k * m >= PAR_THRESHOLD;
     if crate::simd::matmul_into_simd(a, b, &mut out.data, n, k, m, parallel) {
         return;
     }
@@ -582,17 +580,21 @@ mod tests {
 
     #[test]
     fn matmul_parallel_path_matches_serial() {
-        // Force the parallel path with a big-enough product and compare
+        // A product above the split threshold at two threads, compared
         // against a naive triple loop.
+        const N: usize = 200;
+        const K: usize = 160;
+        const M: usize = 150;
+        const _: () = assert!(N * K * M >= PAR_THRESHOLD);
         let mut rng = StdRng::seed_from_u64(5);
-        let a = Matrix::random_uniform(70, 40, 1.0, &mut rng);
-        let b = Matrix::random_uniform(40, 50, 1.0, &mut rng);
-        let fast = a.matmul(&b);
-        let mut naive = Matrix::zeros(70, 50);
-        for i in 0..70 {
-            for j in 0..50 {
+        let a = Matrix::random_uniform(N, K, 1.0, &mut rng);
+        let b = Matrix::random_uniform(K, M, 1.0, &mut rng);
+        let fast = edge_par::with_max_threads(2, || a.matmul(&b));
+        let mut naive = Matrix::zeros(N, M);
+        for i in 0..N {
+            for j in 0..M {
                 let mut acc = 0.0;
-                for k in 0..40 {
+                for k in 0..K {
                     acc += a.get(i, k) * b.get(k, j);
                 }
                 naive.set(i, j, acc);

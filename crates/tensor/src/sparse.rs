@@ -3,8 +3,9 @@
 //! The GCN propagation matrix `D̃^{-1/2} Ã D̃^{-1/2}` is a constant sparse
 //! operator applied to dense state matrices every layer (Eq. 1). This module
 //! provides the CSR storage and the two products the autodiff engine needs:
-//! `S · X` for the forward pass and `Sᵀ · G` for the backward pass. Both are
-//! row-parallel over the output; the backward product runs on a transposed
+//! `S · X` for the forward pass and `Sᵀ · G` for the backward pass. Both
+//! split across the worker pool by output rows once `nnz·m` reaches
+//! [`crate::PAR_THRESHOLD`]; the backward product runs on a transposed
 //! CSR that is built once and cached, so every GCN backward pass after the
 //! first reuses it.
 
@@ -204,7 +205,9 @@ impl CsrMatrix {
         self.transposed.get_or_init(|| Arc::new(self.transpose()))
     }
 
-    /// Dense product `self × dense` (pool-parallel over output rows).
+    /// Dense product `self × dense`, row by row: split across the worker
+    /// pool by output rows when `nnz·m` reaches [`crate::PAR_THRESHOLD`], run
+    /// on the calling thread below it.
     pub fn matmul_dense(&self, dense: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
         self.matmul_dense_into(dense, &mut out);
@@ -234,10 +237,7 @@ impl CsrMatrix {
         // Kernel choice is captured here, on the submitting thread, so a
         // `with_scalar_kernels` override governs the whole parallel region.
         let use_simd = crate::simd::spmm_simd_active(m);
-        // One chunk per output row, so partitioning cannot change results.
-        // The `edge_par` entry point performs no heap allocation on the
-        // serial path, keeping the train loop allocation-free at one thread.
-        edge_par::parallel_for_chunks_mut(out.data_mut(), m, |r, out_row| {
+        let work = |r: usize, out_row: &mut [f32]| {
             if use_simd {
                 let (cols, vals) = self.row_slices(r);
                 // SAFETY: `use_simd` captured a true `spmm_simd_active` above,
@@ -251,12 +251,18 @@ impl CsrMatrix {
                     }
                 }
             }
-        });
+        };
+        // One chunk per output row, so partitioning cannot change results.
+        if self.nnz() * m >= crate::PAR_THRESHOLD {
+            edge_par::parallel_for_chunks_mut(out.data_mut(), m, work);
+        } else {
+            out.data_mut().chunks_mut(m).enumerate().for_each(|(r, row)| work(r, row));
+        }
     }
 
     /// Transposed product `selfᵀ × dense` — the backward-pass companion of
-    /// [`CsrMatrix::matmul_dense`]. Runs the row-parallel gather product on
-    /// the cached transposed CSR; each output row accumulates its sources in
+    /// [`CsrMatrix::matmul_dense`]. Runs that gather product (and its split
+    /// rule) on the cached transposed CSR; each output row accumulates its sources in
     /// ascending original-row order, so results are bit-for-bit identical to
     /// the historical serial scatter-add at any thread count.
     pub fn transpose_matmul_dense(&self, dense: &Matrix) -> Matrix {

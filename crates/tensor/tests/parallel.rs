@@ -31,6 +31,25 @@ fn random_csr(rows: usize, cols: usize, nnz: usize, seed: u64) -> CsrMatrix {
     CsrMatrix::from_triplets(rows, cols, &triplets)
 }
 
+/// A `rows × cols` CSR matrix with exactly `per_row` entries in every row,
+/// at scattered distinct columns, so its `nnz` is known at compile time.
+/// `cols` must be a power of two and `per_row ≤ cols`.
+fn banded_csr(rows: usize, cols: usize, per_row: usize, seed: u64) -> CsrMatrix {
+    assert!(cols.is_power_of_two() && per_row <= cols);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut triplets = Vec::with_capacity(rows * per_row);
+    for r in 0..rows {
+        // An odd stride visits every residue mod a power of two once.
+        let (start, stride) = (rng.gen_range(0..cols), 2 * rng.gen_range(0..cols / 2) + 1);
+        for j in 0..per_row {
+            triplets.push((r, (start + j * stride) % cols, rng.gen_range(-1.0..1.0)));
+        }
+    }
+    let s = CsrMatrix::from_triplets(rows, cols, &triplets);
+    assert_eq!(s.nnz(), rows * per_row);
+    s
+}
+
 /// The kernel levels this host can run, narrowest first.
 fn host_levels() -> impl Iterator<Item = KernelLevel> {
     KernelLevel::ALL.into_iter().filter(|&level| level <= edge_tensor::simd_level())
@@ -69,26 +88,40 @@ fn assert_thread_invariant(label: &str, f: impl Fn() -> Matrix) {
     assert_matches_everywhere(label, &reference, f);
 }
 
+/// A dense product above `PAR_THRESHOLD`, so it splits across the pool at
+/// more than one thread. Neither the rows nor the columns are a multiple of
+/// the register tile.
+const SPLIT_MATMUL: (usize, usize, usize) = (258, 130, 126);
+const _: () =
+    assert!(SPLIT_MATMUL.0 * SPLIT_MATMUL.1 * SPLIT_MATMUL.2 >= edge_tensor::PAR_THRESHOLD);
+
 #[test]
 fn matmul_is_bitwise_deterministic_across_thread_counts() {
-    // 96×64×48 is far above PAR_THRESHOLD, so the parallel path engages.
-    const _: () = assert!(96 * 64 * 48 >= edge_tensor::PAR_THRESHOLD);
-    let a = random_dense(96, 64, 1);
-    let b = random_dense(64, 48, 2);
+    let (n, k, m) = SPLIT_MATMUL;
+    let a = random_dense(n, k, 1);
+    let b = random_dense(k, m, 2);
     assert_thread_invariant("matmul", || a.matmul(&b));
 }
 
 #[test]
 fn spmm_is_bitwise_deterministic_across_thread_counts() {
-    let s = random_csr(120, 80, 1200, 3);
-    let x = random_dense(80, 40, 4);
+    // `nnz·m` above PAR_THRESHOLD, so the product splits.
+    const SHAPE: (usize, usize, usize, usize) = (600, 512, 90, 80);
+    const _: () = assert!(SHAPE.0 * SHAPE.2 * SHAPE.3 >= edge_tensor::PAR_THRESHOLD);
+    let (rows, cols, per_row, m) = SHAPE;
+    let s = banded_csr(rows, cols, per_row, 3);
+    let x = random_dense(cols, m, 4);
     assert_thread_invariant("spmm", || s.matmul_dense(&x));
 }
 
 #[test]
 fn transpose_matmul_is_bitwise_deterministic_across_thread_counts() {
-    let s = random_csr(90, 70, 900, 5);
-    let g = random_dense(90, 30, 6);
+    // The transposed CSR has the same `nnz`, so `nnz·m` splits here too.
+    const SHAPE: (usize, usize, usize, usize) = (500, 512, 100, 84);
+    const _: () = assert!(SHAPE.0 * SHAPE.2 * SHAPE.3 >= edge_tensor::PAR_THRESHOLD);
+    let (rows, cols, per_row, m) = SHAPE;
+    let s = banded_csr(rows, cols, per_row, 5);
+    let g = random_dense(rows, m, 6);
     assert_thread_invariant("spmm^T", || s.transpose_matmul_dense(&g));
 }
 
@@ -120,9 +153,11 @@ fn transpose_matmul_matches_historical_serial_scatter_bitwise() {
 fn nested_parallel_kernels_do_not_deadlock_and_stay_deterministic() {
     // A pooled task that itself runs pooled kernels: the pool must service
     // the inner regions (the submitting worker participates), and the
-    // results must still match the serial path bit-for-bit.
-    let a = random_dense(96, 64, 9);
-    let b = random_dense(64, 48, 10);
+    // results must still match the serial path bit-for-bit. The product is
+    // large enough to split, so the inner regions really dispatch.
+    let (n, k, m) = SPLIT_MATMUL;
+    let a = random_dense(n, k, 9);
+    let b = random_dense(k, m, 10);
     let expected = edge_par::with_max_threads(1, || a.matmul(&b));
     let results: Vec<std::sync::Mutex<Option<Matrix>>> =
         (0..4).map(|_| std::sync::Mutex::new(None)).collect();
