@@ -22,6 +22,27 @@ use serde::{Deserialize, Serialize};
 /// split, so results are bitwise the same on either side of it.
 pub const PAR_THRESHOLD: usize = 4 << 20;
 
+/// Runs `task` on each `chunk`-long piece of `data` with the piece's index:
+/// across the worker pool when the product's `work` (multiply-adds) reaches
+/// [`PAR_THRESHOLD`], on the calling thread below it. One pool claim covers
+/// at least `min_grain` pieces. The pieces are the same either way, so the
+/// split cannot change a result, and the serial side allocates nothing.
+pub(crate) fn for_each_chunk<F>(
+    work: usize,
+    data: &mut [f32],
+    chunk: usize,
+    min_grain: usize,
+    task: F,
+) where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    if work >= PAR_THRESHOLD {
+        edge_par::parallel_for_chunks_mut_grained(data, chunk, min_grain, task);
+    } else {
+        data.chunks_mut(chunk).enumerate().for_each(|(i, piece)| task(i, piece));
+    }
+}
+
 /// Work size (`rows × inner × cols`) from which a dense product opens a
 /// `matmul` trace span; smaller products would flood the trace, and their
 /// time shows up in the caller's self time anyway.
@@ -472,8 +493,7 @@ fn gemm_into(a: Operand<'_>, b: Operand<'_>, out: &mut Matrix, n: usize, k: usiz
     if out.data.is_empty() || k == 0 {
         return;
     }
-    let parallel = n * k * m >= PAR_THRESHOLD;
-    if crate::simd::matmul_into_simd(a, b, &mut out.data, n, k, m, parallel) {
+    if crate::simd::matmul_into_simd(a, b, &mut out.data, n, k, m) {
         return;
     }
     // Scalar reference kernel (also the `EDGE_NO_SIMD` / narrow-output
@@ -509,14 +529,7 @@ fn gemm_into(a: Operand<'_>, b: Operand<'_>, out: &mut Matrix, n: usize, k: usiz
             }
         }
     };
-    if parallel {
-        // Chunk layout matches the serial path exactly, so partitioning
-        // cannot change results; `edge_par` allocates nothing on the
-        // serial path, which keeps the train loop allocation-free.
-        edge_par::parallel_for_chunks_mut(&mut out.data, MATMUL_ROW_BLOCK * m, work);
-    } else {
-        out.data.chunks_mut(MATMUL_ROW_BLOCK * m).enumerate().for_each(|(i, b)| work(i, b));
-    }
+    for_each_chunk(n * k * m, &mut out.data, MATMUL_ROW_BLOCK * m, 1, work);
 }
 
 #[cfg(test)]

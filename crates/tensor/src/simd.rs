@@ -125,8 +125,8 @@ impl Drop for PackGuard {
 }
 
 /// Runs `out = a × b` (`out` pre-zeroed, `n×k` times `k×m` as read) with the
-/// widest vector kernel [`kernel_level`] allows, parallelized over the same
-/// `TILE_ROWS`-row chunks as the scalar path. Returns `false` — leaving
+/// widest vector kernel [`kernel_level`] allows, over the same
+/// `TILE_ROWS`-row chunks and split rule as the scalar path. Returns `false` — leaving
 /// `out` untouched — when SIMD is inactive or the shape is too narrow to
 /// benefit, in which case the caller falls back to the scalar reference
 /// kernel.
@@ -138,7 +138,6 @@ pub(crate) fn matmul_into_simd(
     n: usize,
     k: usize,
     m: usize,
-    parallel: bool,
 ) -> bool {
     // Captured on the submitting thread: the pool carries its cap to the
     // workers, and every chunk runs the tile of this one level.
@@ -164,14 +163,10 @@ pub(crate) fn matmul_into_simd(
         // the submitting thread, before any dispatch.
         unsafe { x86::matmul_block(level, a_block, shape, rows, panels, out_block) };
     };
-    if parallel {
-        // Each claim covers at least two row blocks: the vector kernel
-        // clears a block ~4x faster than scalar, so per-claim cursor traffic
-        // would otherwise double its relative cost.
-        edge_par::parallel_for_chunks_mut_grained(out, TILE_ROWS * m, 2, work);
-    } else {
-        out.chunks_mut(TILE_ROWS * m).enumerate().for_each(|(i, block)| work(i, block));
-    }
+    // Each pool claim covers at least two row blocks: the vector kernel
+    // clears a block ~4x faster than scalar, so per-claim cursor traffic
+    // would otherwise double its relative cost.
+    crate::matrix::for_each_chunk(n * k * m, out, TILE_ROWS * m, 2, work);
     true
 }
 
@@ -183,7 +178,6 @@ pub(crate) fn matmul_into_simd(
     _n: usize,
     _k: usize,
     _m: usize,
-    _parallel: bool,
 ) -> bool {
     false
 }

@@ -253,11 +253,7 @@ impl CsrMatrix {
             }
         };
         // One chunk per output row, so partitioning cannot change results.
-        if self.nnz() * m >= crate::PAR_THRESHOLD {
-            edge_par::parallel_for_chunks_mut(out.data_mut(), m, work);
-        } else {
-            out.data_mut().chunks_mut(m).enumerate().for_each(|(r, row)| work(r, row));
-        }
+        crate::matrix::for_each_chunk(self.nnz() * m, out.data_mut(), m, 1, work);
     }
 
     /// Transposed product `selfᵀ × dense` — the backward-pass companion of

@@ -33,6 +33,17 @@ const N_ENTITIES: usize = 24;
 const DIM: usize = 8;
 const M: usize = 3;
 
+/// A graph large enough that its diffusion products split across the pool:
+/// `X·W` and its backward `Xᵀ·G` (`entities·dim·dim` multiply-adds), the
+/// spmm and its backward spmmᵀ (`nnz·dim`, with `per_row` entries a row).
+const SPLIT_ENTITIES: usize = 1024;
+const SPLIT_PER_ROW: usize = 64;
+const SPLIT_DIM: usize = 72;
+const _: () = assert!(
+    SPLIT_ENTITIES * SPLIT_DIM * SPLIT_DIM >= edge_tensor::PAR_THRESHOLD
+        && SPLIT_ENTITIES * SPLIT_PER_ROW * SPLIT_DIM >= edge_tensor::PAR_THRESHOLD
+);
+
 fn setup() -> Setup {
     let mut rng = StdRng::seed_from_u64(42);
     let triplets: Vec<(usize, usize, f32)> = (0..120)
@@ -40,13 +51,37 @@ fn setup() -> Setup {
             (rng.gen_range(0..N_ENTITIES), rng.gen_range(0..N_ENTITIES), rng.gen_range(0.0..1.0))
         })
         .collect();
-    let adjacency = Arc::new(CsrMatrix::from_triplets(N_ENTITIES, N_ENTITIES, &triplets));
-    let features = Arc::new(Matrix::random_uniform(N_ENTITIES, DIM, 1.0, &mut rng));
+    build(CsrMatrix::from_triplets(N_ENTITIES, N_ENTITIES, &triplets), DIM, rng)
+}
+
+/// The split-sized graph: `SPLIT_PER_ROW` distinct columns in every row (an
+/// odd stride visits every residue mod a power of two once), so its `nnz`
+/// is exactly the one the const-assert above counts.
+fn split_setup() -> Setup {
+    let mut rng = StdRng::seed_from_u64(43);
+    let n = SPLIT_ENTITIES;
+    let mut triplets = Vec::with_capacity(n * SPLIT_PER_ROW);
+    for r in 0..n {
+        let (start, stride) = (rng.gen_range(0..n), 2 * rng.gen_range(0..n / 2) + 1);
+        for j in 0..SPLIT_PER_ROW {
+            triplets.push((r, (start + j * stride) % n, rng.gen_range(0.0..1.0)));
+        }
+    }
+    let adjacency = CsrMatrix::from_triplets(n, n, &triplets);
+    assert_eq!(adjacency.nnz(), n * SPLIT_PER_ROW);
+    build(adjacency, SPLIT_DIM, rng)
+}
+
+/// Features, parameters and batches for a step over `adjacency`.
+fn build(adjacency: CsrMatrix, dim: usize, mut rng: StdRng) -> Setup {
+    let entities = adjacency.rows();
+    let adjacency = Arc::new(adjacency);
+    let features = Arc::new(Matrix::random_uniform(entities, dim, 1.0, &mut rng));
     let mut params = ParamStore::new();
-    let w_gcn = params.add("w", xavier_uniform(DIM, DIM, &mut rng));
-    let q1 = params.add("q1", xavier_uniform(DIM, 1, &mut rng));
+    let w_gcn = params.add("w", xavier_uniform(dim, dim, &mut rng));
+    let q1 = params.add("q1", xavier_uniform(dim, 1, &mut rng));
     let b1 = params.add("b1", Matrix::full(1, 1, 1.0));
-    let q2 = params.add("q2", xavier_uniform(DIM, 6 * M, &mut rng));
+    let q2 = params.add("q2", xavier_uniform(dim, 6 * M, &mut rng));
     let b2 = params.add("b2", Matrix::random_uniform(1, 6 * M, 0.5, &mut rng));
     // Batches of varying size and entity-set length, so recycled buffers get
     // re-taken at different shapes.
@@ -58,7 +93,7 @@ fn setup() -> Setup {
             (0..size)
                 .map(|_| {
                     let k = rng.gen_range(1..5);
-                    (0..k).map(|_| rng.gen_range(0..N_ENTITIES)).collect()
+                    (0..k).map(|_| rng.gen_range(0..entities)).collect()
                 })
                 .collect(),
         );
@@ -116,7 +151,14 @@ fn assert_bitwise_eq(label: &str, a: &[(ParamId, Matrix)], b: &[(ParamId, Matrix
 
 #[test]
 fn arena_tapes_match_fresh_tapes_bitwise_across_threads() {
-    let s = setup();
+    // The small graph runs every product on the calling thread; the split
+    // graph runs its diffusion products in the pool at 2 and 8 threads.
+    for s in [setup(), split_setup()] {
+        assert_arena_matches_fresh(&s);
+    }
+}
+
+fn assert_arena_matches_fresh(s: &Setup) {
     // The scalar single-thread fresh-tape run anchors the whole sweep: every
     // (threads × kernels × fresh/arena) combination must reproduce it bit
     // for bit, which is exactly the training determinism contract.
@@ -124,7 +166,7 @@ fn arena_tapes_match_fresh_tapes_bitwise_across_threads() {
         edge_par::with_max_threads(1, || {
             (0..s.batches.len())
                 .map(|batch| {
-                    let (loss, grads, _) = run_batch(&s, Tape::new(), batch);
+                    let (loss, grads, _) = run_batch(s, Tape::new(), batch);
                     (loss, grads)
                 })
                 .collect()
@@ -137,9 +179,9 @@ fn arena_tapes_match_fresh_tapes_bitwise_across_threads() {
                     let mut arena = TapeArena::new();
                     for (batch, (ref_loss, ref_grads)) in reference.iter().enumerate() {
                         let tag = format!("batch {batch} @ {threads} threads, simd={simd}");
-                        let (fresh_loss, fresh_grads, _) = run_batch(&s, Tape::new(), batch);
+                        let (fresh_loss, fresh_grads, _) = run_batch(s, Tape::new(), batch);
                         let (pool_loss, pool_grads, back) =
-                            run_batch(&s, Tape::with_arena(std::mem::take(&mut arena)), batch);
+                            run_batch(s, Tape::with_arena(std::mem::take(&mut arena)), batch);
                         assert!(
                             fresh_loss.to_bits() == pool_loss.to_bits()
                                 && fresh_loss.to_bits() == ref_loss.to_bits(),

@@ -129,22 +129,34 @@ fn transpose_matmul_is_bitwise_deterministic_across_thread_counts() {
 fn transpose_matmul_matches_historical_serial_scatter_bitwise() {
     // The pre-pool implementation: serial scatter-adds over stored entries,
     // walking source rows in ascending order. The cached-transpose gather
-    // kernel must reproduce it exactly.
-    let s = random_csr(64, 50, 700, 7);
-    let g = random_dense(64, 24, 8);
-    let mut scatter = Matrix::zeros(s.cols(), g.cols());
-    for r in 0..s.rows() {
-        let src: Vec<f32> = g.row(r).to_vec();
-        for (c, v) in s.row_entries(r) {
-            for (o, &x) in scatter.row_mut(c).iter_mut().zip(&src) {
-                *o += v * x;
+    // kernel must reproduce it exactly, on both sides of the split: the
+    // second operator's `nnz·m` reaches PAR_THRESHOLD.
+    const SPLIT: (usize, usize, usize, usize) = (512, 512, 128, 72);
+    const _: () = assert!(SPLIT.0 * SPLIT.2 * SPLIT.3 >= edge_tensor::PAR_THRESHOLD);
+    let (rows, cols, per_row, m) = SPLIT;
+    let cases = [
+        (random_csr(64, 50, 700, 7), random_dense(64, 24, 8)),
+        (banded_csr(rows, cols, per_row, 17), random_dense(rows, m, 18)),
+    ];
+    for (s, g) in &cases {
+        let mut scatter = Matrix::zeros(s.cols(), g.cols());
+        for r in 0..s.rows() {
+            let src: Vec<f32> = g.row(r).to_vec();
+            for (c, v) in s.row_entries(r) {
+                for (o, &x) in scatter.row_mut(c).iter_mut().zip(&src) {
+                    *o += v * x;
+                }
             }
         }
-    }
-    for threads in THREAD_SWEEP {
-        let fast = edge_par::with_max_threads(threads, || s.transpose_matmul_dense(&g));
-        for (a, b) in scatter.data().iter().zip(fast.data()) {
-            assert!(a.to_bits() == b.to_bits(), "{a} vs {b} @ {threads} threads");
+        for threads in THREAD_SWEEP {
+            let fast = edge_par::with_max_threads(threads, || s.transpose_matmul_dense(g));
+            for (a, b) in scatter.data().iter().zip(fast.data()) {
+                assert!(
+                    a.to_bits() == b.to_bits(),
+                    "{a} vs {b} @ {threads} threads, nnz {}",
+                    s.nnz()
+                );
+            }
         }
     }
 }
@@ -178,9 +190,12 @@ fn nested_parallel_kernels_do_not_deadlock_and_stay_deterministic() {
 fn matmul_simd_tail_shapes_match_scalar_bitwise() {
     // Widths straddling the 16-column tile (masked/zero-padded tails), row
     // counts straddling the 4-row block, and a single-row product that takes
-    // the unpacked strided path — every tail case of the AVX2 kernel.
+    // the unpacked strided path — every tail case of the AVX2 kernel. The
+    // last shape splits across the pool, with a tail row and tail columns.
+    const SPLIT_TAIL: (usize, usize, usize) = (257, 131, 127);
+    const _: () = assert!(SPLIT_TAIL.0 * SPLIT_TAIL.1 * SPLIT_TAIL.2 >= edge_tensor::PAR_THRESHOLD);
     for (n, k, m) in
-        [(1, 64, 48), (3, 33, 17), (5, 40, 16), (8, 21, 9), (13, 29, 31), (64, 50, 100)]
+        [(1, 64, 48), (3, 33, 17), (5, 40, 16), (8, 21, 9), (13, 29, 31), (64, 50, 100), SPLIT_TAIL]
     {
         let a = random_dense(n, k, 100 + (n * k) as u64);
         let b = random_dense(k, m, 200 + (k * m) as u64);
@@ -223,6 +238,16 @@ fn spmm_simd_tail_widths_match_scalar_bitwise() {
         let g = random_dense(60, m, 400 + m as u64);
         assert_thread_invariant(&format!("spmm^T width {m}"), || s.transpose_matmul_dense(&g));
     }
+    // Width 45 runs one 32-strip, one 8-strip and a 5-wide scalar tail, and
+    // here `nnz·m` reaches PAR_THRESHOLD, so each of them runs in the pool.
+    const SPLIT: (usize, usize, usize, usize) = (1024, 1024, 96, 45);
+    const _: () = assert!(SPLIT.0 * SPLIT.2 * SPLIT.3 >= edge_tensor::PAR_THRESHOLD);
+    let (rows, cols, per_row, m) = SPLIT;
+    let s = banded_csr(rows, cols, per_row, 22);
+    let x = random_dense(cols, m, 23);
+    assert_thread_invariant("spmm split width 45", || s.matmul_dense(&x));
+    let g = random_dense(rows, m, 24);
+    assert_thread_invariant("spmm^T split width 45", || s.transpose_matmul_dense(&g));
 }
 
 /// An `rows × cols` matrix with `-0.0` and `0.0` entries, and with whole
@@ -268,33 +293,38 @@ fn wide_tile_and_transposed_products_match_scalar_bitwise() {
     // a multiple of the 4-row block (below and above the pack threshold),
     // and inner dimensions 0, 1 and the 194 entities of NYMA-smoke. Each
     // product is checked against the scalar kernel on a materialized
-    // transpose, at every kernel level and thread count.
+    // transpose, at every kernel level and thread count. The products of
+    // these shapes run on the calling thread; the last case (a tail column
+    // residue too) is large enough to split across the pool.
     const ROWS: [usize; 5] = [1, 3, 6, 13, 66];
+    const SPLIT: (usize, usize, usize) = (262, 194, 83);
+    const _: () = assert!(SPLIT.0 * SPLIT.1 * SPLIT.2 >= edge_tensor::PAR_THRESHOLD);
+    // (n, k, m, seed)
+    let mut cases = Vec::new();
     for residue in 1..32 {
-        let m = 32 + residue;
-        let n = ROWS[residue % ROWS.len()];
         for k in [0, 1, 194] {
-            let seed = (residue * 1000 + k) as u64;
-            let a = zero_laced(n, k, seed);
-            let b = non_finite_laced(k, m, seed + 1);
-            let (at, bt) = (a.transpose(), b.transpose());
-            let scalar = |x: &Matrix, y: &Matrix| {
-                edge_tensor::with_scalar_kernels(|| edge_par::with_max_threads(1, || x.matmul(y)))
-            };
-            let reference = scalar(&a, &b);
-            let label = format!("{n}x{k}x{m}");
-            assert_matches_everywhere(&format!("matmul {label}"), &reference, || a.matmul(&b));
-            assert_matches_everywhere(&format!("matmul_tn {label}"), &reference, || {
-                let mut out = Matrix::zeros(0, 0);
-                at.matmul_tn_into(&b, &mut out);
-                out
-            });
-            assert_matches_everywhere(&format!("matmul_nt {label}"), &reference, || {
-                let mut out = Matrix::zeros(0, 0);
-                a.matmul_nt_into(&bt, &mut out);
-                out
-            });
+            cases.push((ROWS[residue % ROWS.len()], k, 32 + residue, (residue * 1000 + k) as u64));
         }
+    }
+    cases.push((SPLIT.0, SPLIT.1, SPLIT.2, 99_000));
+    for (n, k, m, seed) in cases {
+        let a = zero_laced(n, k, seed);
+        let b = non_finite_laced(k, m, seed + 1);
+        let (at, bt) = (a.transpose(), b.transpose());
+        let reference =
+            edge_tensor::with_scalar_kernels(|| edge_par::with_max_threads(1, || a.matmul(&b)));
+        let label = format!("{n}x{k}x{m}");
+        assert_matches_everywhere(&format!("matmul {label}"), &reference, || a.matmul(&b));
+        assert_matches_everywhere(&format!("matmul_tn {label}"), &reference, || {
+            let mut out = Matrix::zeros(0, 0);
+            at.matmul_tn_into(&b, &mut out);
+            out
+        });
+        assert_matches_everywhere(&format!("matmul_nt {label}"), &reference, || {
+            let mut out = Matrix::zeros(0, 0);
+            a.matmul_nt_into(&bt, &mut out);
+            out
+        });
     }
 }
 
@@ -326,32 +356,38 @@ fn tape_matmul_backward_equals_transpose_then_multiply_bitwise() {
     // so the upstream gradient is exactly `C`. The tape's backward reads
     // the transposed factors in place; it must equal multiplying by
     // materialized transposes, bit for bit, at every level and thread count.
-    let h = zero_laced(194, 64, 71);
-    let w = random_dense(64, 64, 72);
-    let c = zero_laced(194, 64, 73);
-    let mut params = edge_tensor::ParamStore::new();
-    let h_id = params.add("h", h.clone());
-    let w_id = params.add("w", w.clone());
-    let d_h = edge_tensor::with_scalar_kernels(|| c.matmul(&w.transpose()));
-    let d_w = edge_tensor::with_scalar_kernels(|| h.transpose().matmul(&c));
-    for level in host_levels() {
-        for threads in THREAD_SWEEP {
-            let grads = edge_tensor::with_kernel_level(level, || {
-                edge_par::with_max_threads(threads, || {
-                    let mut tape = Tape::new();
-                    let hn = tape.param(h_id, &params);
-                    let wn = tape.param(w_id, &params);
-                    let cn = tape.constant(c.clone());
-                    let hw = tape.matmul(hn, wn);
-                    let masked = tape.hadamard(hw, cn);
-                    let loss = tape.sum_all(masked);
-                    tape.backward(loss)
-                })
-            });
-            let grad = |id| &grads.iter().find(|(p, _)| *p == id).expect("gradient").1;
-            let label = format!("@ {threads} threads, {level:?}");
-            assert_bitwise(&format!("dH {label}"), &d_h, grad(h_id));
-            assert_bitwise(&format!("dW {label}"), &d_w, grad(w_id));
+    // The second graph has enough entities that the forward product and
+    // both backward products split across the pool.
+    const SPLIT_ENTITIES: usize = 1024;
+    const _: () = assert!(SPLIT_ENTITIES * 64 * 64 >= edge_tensor::PAR_THRESHOLD);
+    for (entities, seed) in [(194, 71), (SPLIT_ENTITIES, 81)] {
+        let h = zero_laced(entities, 64, seed);
+        let w = random_dense(64, 64, seed + 1);
+        let c = zero_laced(entities, 64, seed + 2);
+        let mut params = edge_tensor::ParamStore::new();
+        let h_id = params.add("h", h.clone());
+        let w_id = params.add("w", w.clone());
+        let d_h = edge_tensor::with_scalar_kernels(|| c.matmul(&w.transpose()));
+        let d_w = edge_tensor::with_scalar_kernels(|| h.transpose().matmul(&c));
+        for level in host_levels() {
+            for threads in THREAD_SWEEP {
+                let grads = edge_tensor::with_kernel_level(level, || {
+                    edge_par::with_max_threads(threads, || {
+                        let mut tape = Tape::new();
+                        let hn = tape.param(h_id, &params);
+                        let wn = tape.param(w_id, &params);
+                        let cn = tape.constant(c.clone());
+                        let hw = tape.matmul(hn, wn);
+                        let masked = tape.hadamard(hw, cn);
+                        let loss = tape.sum_all(masked);
+                        tape.backward(loss)
+                    })
+                });
+                let grad = |id| &grads.iter().find(|(p, _)| *p == id).expect("gradient").1;
+                let label = format!("{entities} entities @ {threads} threads, {level:?}");
+                assert_bitwise(&format!("dH {label}"), &d_h, grad(h_id));
+                assert_bitwise(&format!("dW {label}"), &d_w, grad(w_id));
+            }
         }
     }
 }
